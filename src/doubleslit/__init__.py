@@ -25,6 +25,7 @@ from .blobdetect import (
     geometric_scales,
     scale_space_response,
 )
+from .buildup import BuildUpRun, run_buildup
 from .config import RunConfig, build_config, load_config, parse_config_text
 from .core import (
     BeamParameters,

@@ -16,6 +16,7 @@ from .core import BeamParameters
 from .errors import DomainError
 from .geometry import BeamlineLayout, make_mask, open_fraction
 from .propagation import GridSpec, IntensityProfile, simulate_beamline
+from .sampler import profile_cdf
 
 
 class NoPeriodicityError(DomainError):
@@ -81,11 +82,7 @@ def run_sweep(
 
     def one(c: float) -> SweepEntry:
         profile = simulate_beamline(layout, beam, c, grid)
-        fr = open_fraction(
-            layout.doubleslit,
-            make_mask(layout.mask_opening_width, c),
-            layout.z_doubleslit_to_mask,
-        )
+        fr = open_fraction(layout.doubleslit, make_mask(layout.mask_opening_width, c))
         return SweepEntry(
             mask_center=c, profile=profile, fractions=fr, label=classify_fractions(*fr)
         )
@@ -214,18 +211,6 @@ def highest_unblocked_order(
         if not v > 0:
             raise DomainError(f"{name} must be positive, got {v}")
     return int(np.floor(mask_half_width * separation / (wavelength * z_gap)))
-
-
-def profile_cdf(reference: IntensityProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Piecewise-linear CDF of a normalized profile at its cell edges."""
-    if not reference.normalized:
-        raise DomainError("reference profile must be normalized")
-    p = reference.values * reference.dx
-    p = p / p.sum()
-    edges = reference.x0 - 0.5 * reference.dx + np.arange(reference.n + 1) * reference.dx
-    cdf = np.concatenate(([0.0], np.cumsum(p)))
-    cdf[-1] = 1.0
-    return edges, cdf
 
 
 def ks_distance(events, reference: IntensityProfile) -> float:

@@ -110,6 +110,57 @@ def _refine(values: np.ndarray, idx: int) -> tuple[float, float]:
     return d, float(v1 - 0.25 * (v0 - v2) * d)
 
 
+def _median_in_place(flat: np.ndarray) -> float:
+    """np.median of a 1D array, partitioning the array in place.
+
+    Any NaN makes the result NaN, as with np.median (partition sorts NaN
+    to the end).
+    """
+    n = flat.size
+    lo, hi = (n - 1) // 2, n // 2
+    flat.partition([lo, hi, n - 1])
+    if np.isnan(flat[-1]):
+        return np.nan
+    return flat[lo : hi + 1].mean()
+
+
+def _mad(stack: np.ndarray) -> float:
+    """Median absolute deviation from the median, from one flattened copy."""
+    flat = stack.ravel().copy()
+    center = _median_in_place(flat)
+    np.abs(np.subtract(flat, center, out=flat), out=flat)
+    return _median_in_place(flat)
+
+
+def _thresholded_minima(stack: np.ndarray, threshold: float) -> np.ndarray:
+    """Voxels below -threshold that are minima of their 3x3x3 neighbourhood.
+
+    The first and last scale layers are excluded: a spot larger than the
+    ladder top must not alias into the boundary layer.  The minimum filter
+    (nearest-mode borders) runs only on the bounding box of the voxels below
+    -threshold plus a one-voxel halo, which holds every neighbourhood those
+    voxels need; a NaN anywhere in the stack falls back to the whole stack,
+    because NaN makes the running minimum depend on values outside the
+    window.
+    """
+    extremal = stack < -threshold
+    extremal[0] = False
+    extremal[-1] = False
+    hits = np.nonzero(extremal)
+    if hits[0].size == 0:
+        return extremal
+    if np.isnan(stack).any():
+        box = (slice(None),) * stack.ndim
+    else:
+        box = tuple(
+            slice(max(int(h.min()) - 1, 0), min(int(h.max()) + 2, size))
+            for h, size in zip(hits, stack.shape)
+        )
+    sub = stack[box]
+    extremal[box] &= sub == ndimage.minimum_filter(sub, size=3, mode="nearest")
+    return extremal
+
+
 def detect_blobs(frame, scales, threshold: float | None = None) -> list[BlobDescriptor]:
     """Locate bright spots as thresholded 3D minima of the response stack.
 
@@ -133,15 +184,8 @@ def detect_blobs(frame, scales, threshold: float | None = None) -> list[BlobDesc
         raise DomainError("blob detection needs at least 3 scales")
     stack = scale_space_response(frame, arr)
     if threshold is None:
-        mad = np.median(np.abs(stack - np.median(stack)))
-        threshold = max(7.0 * 1.4826 * mad, 1e-3 * np.max(np.abs(stack)))
-    footprint = 3
-    is_min = (stack == ndimage.minimum_filter(stack, size=footprint, mode="nearest"))
-    extremal = is_min & (stack < -threshold)
-    # interior in scale: a spot larger than the ladder top must not alias
-    # into the boundary layer
-    extremal[0] = False
-    extremal[-1] = False
+        threshold = max(7.0 * 1.4826 * _mad(stack), 1e-3 * np.max(np.abs(stack)))
+    extremal = _thresholded_minima(stack, threshold)
     n_s, n_y, n_x = stack.shape
     candidates = []
     for k, i, j in zip(*np.nonzero(extremal)):

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import blobdetect, sampler
-from .analysis import ks_distance, run_sweep
+from .analysis import run_sweep
+from .buildup import run_buildup
 from .config import (
     ASSUMED_KEYS,
     RunConfig,
@@ -134,22 +135,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _restrict(profile: IntensityProfile, half_width: float) -> IntensityProfile:
-    """Clip to |x| <= half_width and renormalize to unit integral."""
-    keep = np.abs(profile.x) <= half_width
-    if not keep.any():
-        raise DomainError("restriction window excludes the whole profile")
-    i0 = int(np.argmax(keep))
-    i1 = profile.n - int(np.argmax(keep[::-1]))
-    values = profile.values[i0:i1]
-    total = float(values.sum()) * profile.dx
-    if total <= 0:
-        raise DomainError("restricted profile carries no intensity")
-    return IntensityProfile(
-        x0=float(profile.x[i0]), dx=profile.dx, values=values / total, normalized=True
-    )
-
-
 def cmd_buildup(args) -> int:
     config = load_config(args.config, args.seed)
     if args.checkpoints:
@@ -161,75 +146,15 @@ def cmd_buildup(args) -> int:
             raise ConfigError("--checkpoints must be strictly increasing and >= 1")
         config = dataclasses.replace(config, checkpoints=marks)
     out = _out_dir(args, config)
-
-    # The analyzed pattern is the central five interference orders; events
-    # are drawn from the both-open distribution restricted to that window.
-    full = simulate_beamline(config.layout(), config.beam(), 0.0, config.grid())
-    source = _restrict(full, 2.5 * config.fringe_period())
-    events = sampler.make_events(
-        source,
-        config.pattern_rate,
-        config.height_band(),
-        config.n_events,
-        config.seed,
-    )
-    sampler.write_events_csv(events, out / "events.csv")
-
-    scales = blobdetect.geometric_scales(
-        config.blob_t_min, config.blob_t_max, config.blob_ratio
-    )
-    width, height = config.frame_width, config.frame_height
-    # One frame per event: frame i spans [t_i, t_{i+1}); the last frame gets
-    # one mean inter-arrival period.  Events are time-ordered, so the slice
-    # events[i:i+1] is exactly the in-window subset.
-    blob_rows = []
-    all_blobs = []
-    for i, event in enumerate(events):
-        if i + 1 < len(events):
-            window = (event.t, events[i + 1].t)
-        else:
-            window = (event.t, event.t + 1.0 / config.pattern_rate)
-        frame = sampler.render_frame(
-            events[i : i + 1],
-            window,
-            config.psf_sigma,
-            config.background,
-            config.seed,
-            frame_index=i,
-            width=width,
-            height=height,
-            pitch=config.frame_pitch,
-            amplitude=config.amplitude,
-        )
-        for blob in blobdetect.detect_blobs(
-            frame.counts, scales, config.blob_threshold
-        ):
-            blob_rows.append((i, event.t, blob))
-            all_blobs.append(blob)
-    blobdetect.write_blobs_csv(blob_rows, out / "blobs.csv")
-
-    result = blobdetect.accumulate_buildup(
-        all_blobs, width, height, checkpoints=config.checkpoints
-    )
-    for count in sorted(result.snapshots):
-        image = result.snapshots[count]
+    run = run_buildup(config)
+    sampler.write_events_csv(run.events, out / "events.csv")
+    blobdetect.write_blobs_csv(run.rows, out / "blobs.csv")
+    for count in sorted(run.result.snapshots):
+        image = run.result.snapshots[count]
         write_pgm(out / f"buildup_{count:06d}.pgm", _to_pgm_scaled(image.canvas))
-    write_pgm(out / "buildup_final.pgm", _to_pgm_scaled(result.image.canvas))
-
-    # Recovered positions in meters, for the end-to-end consistency metric.
-    xs_px = np.array([b.x for b in all_blobs])
-    xs_m = (xs_px - (width - 1) / 2) * config.frame_pitch
-    ks_events = ks_distance([e.x for e in events], source)
-    ks_final = ks_distance(xs_m, source) if all_blobs else float("nan")
-    metrics = {
-        "n_events": len(events),
-        "n_blobs": len(all_blobs),
-        "blobs_outside_canvas": result.skipped,
-        "ks_events": ks_events,
-        "ks_final": ks_final,
-    }
+    write_pgm(out / "buildup_final.pgm", _to_pgm_scaled(run.result.image.canvas))
     with open(out / "metrics.txt", "w") as fh:
-        for key, value in metrics.items():
+        for key, value in run.metrics.items():
             if isinstance(value, float):
                 fh.write(f"{key}={value:.17g}\n")
             else:
@@ -237,9 +162,10 @@ def cmd_buildup(args) -> int:
     extras = _derived(config)
     extras["buildup.sampling_half_width_m"] = 2.5 * config.fringe_period()
     _write_meta(out / "buildup.meta", config, extras)
+    m = run.metrics
     print(
-        f"buildup: {len(events)} events, {len(all_blobs)} blobs, "
-        f"ks_final={ks_final:.4g} -> {out}"
+        f"buildup: {m['n_events']} events, {m['n_blobs']} blobs, "
+        f"ks_final={m['ks_final']:.4g} -> {out}"
     )
     return 0
 

@@ -100,22 +100,17 @@ def _overlap(a: tuple[float, float], b: tuple[float, float]) -> float:
     return max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
 
 
-def open_fraction(
-    slits: ApertureSpec, mask: ApertureSpec, z_gap: float
-) -> tuple[float, float]:
+def open_fraction(slits: ApertureSpec, mask: ApertureSpec) -> tuple[float, float]:
     """Fraction of each slit whose forward projection clears the mask opening.
 
     The illumination is collimated along z, so the straight-line projection
-    onto the mask plane is the identity in x and the fractions reduce to
-    interval overlaps.  `z_gap` is validated but does not enter the parallel
-    projection.
+    onto the mask plane is the identity in x, independent of the slit-to-mask
+    gap, and the fractions reduce to interval overlaps.
     """
     if len(slits.open_intervals) != 2:
         raise DomainError(
             f"expected a double slit (2 intervals), got {len(slits.open_intervals)}"
         )
-    if not z_gap > 0:
-        raise DomainError(f"slit-to-mask gap must be positive, got {z_gap}")
     fractions = []
     for slit in slits.open_intervals:
         width = slit[1] - slit[0]

@@ -80,6 +80,23 @@ class Frame:
             raise DomainError(f"empty exposure window {self.exposure}")
 
 
+def profile_cdf(profile: IntensityProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Piecewise-linear CDF of a normalized profile at its cell edges.
+
+    Cell i spans [x_i - dx/2, x_i + dx/2] and carries probability
+    proportional to its sample; returns the n + 1 edges and the CDF there,
+    pinned to exactly 0 and 1 at the ends.
+    """
+    if not profile.normalized:
+        raise DomainError("profile must be normalized to unit integral")
+    p = profile.values * profile.dx
+    p = p / p.sum()
+    edges = profile.x0 - 0.5 * profile.dx + np.arange(profile.n + 1) * profile.dx
+    cdf = np.concatenate(([0.0], np.cumsum(p)))
+    cdf[-1] = 1.0
+    return edges, cdf
+
+
 def sample_positions(
     profile: IntensityProfile, n_events: int, seed: int, start: int = 0
 ) -> np.ndarray:
@@ -89,20 +106,14 @@ def sample_positions(
     CDF is piecewise linear.  `start` selects the global draw index of the
     first event, allowing disjoint ranges to be produced independently.
     """
-    if not profile.normalized:
-        raise DomainError("sampling requires a normalized profile")
+    edges, cdf = profile_cdf(profile)
     if n_events < 0:
         raise DomainError(f"event count must be nonnegative, got {n_events}")
-    p = profile.values * profile.dx
-    p = p / p.sum()
-    cdf = np.concatenate(([0.0], np.cumsum(p)))
-    cdf[-1] = 1.0
     u = _uniforms(seed, STREAM_POSITION, start, n_events)
     idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, profile.n - 1)
     width = cdf[idx + 1] - cdf[idx]
     frac = np.where(width > 0, (u - cdf[idx]) / np.where(width > 0, width, 1.0), 0.0)
-    left_edge = profile.x0 - 0.5 * profile.dx + idx * profile.dx
-    return left_edge + frac * profile.dx
+    return edges[idx] + frac * profile.dx
 
 
 def sample_arrival_times(

@@ -22,7 +22,8 @@ from doubleslit.analysis import (
     visibility,
 )
 from doubleslit.blobdetect import detect_blobs, geometric_scales
-from doubleslit.cli import _restrict, main
+from doubleslit.buildup import restrict_profile as _restrict
+from doubleslit.cli import main
 from doubleslit.config import load_config
 from doubleslit.core import (
     de_broglie_wavelength,

@@ -79,7 +79,7 @@ def test_blocked_aperture_properties():
 def test_open_fraction_stations(center_nm, expected):
     slits = make_double_slit(50 * NM, 280 * NM)
     mask = make_mask(5e-6, center_nm * NM)
-    f1, f2 = open_fraction(slits, mask, 230e-6)
+    f1, f2 = open_fraction(slits, mask)
     assert f1 == pytest.approx(expected[0], abs=1e-12)
     assert f2 == pytest.approx(expected[1], abs=1e-12)
 
@@ -87,14 +87,14 @@ def test_open_fraction_stations(center_nm, expected):
 def test_open_fraction_mirror_relation():
     slits = make_double_slit(50 * NM, 280 * NM)
     for c in (-2520.0, -2420.0, -100.0, 0.0, 777.0):
-        f1, f2 = open_fraction(slits, make_mask(5e-6, c * NM), 230e-6)
-        g1, g2 = open_fraction(slits, make_mask(5e-6, -c * NM), 230e-6)
+        f1, f2 = open_fraction(slits, make_mask(5e-6, c * NM))
+        g1, g2 = open_fraction(slits, make_mask(5e-6, -c * NM))
         assert (f1, f2) == pytest.approx((g2, g1))
 
 
 def test_open_fraction_requires_two_slits():
     with pytest.raises(DomainError):
-        open_fraction(ApertureSpec(((0.0, 1.0),)), make_mask(5e-6, 0.0), 230e-6)
+        open_fraction(ApertureSpec(((0.0, 1.0),)), make_mask(5e-6, 0.0))
 
 
 def test_sampled_transmission_cell_coverage():
