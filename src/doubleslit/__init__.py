@@ -51,6 +51,7 @@ from .propagation import (
     angular_spectrum_step,
     apply_aperture,
     direct_integral_reference,
+    field_at_mask,
     fresnel_transform_step,
     intensity_profile,
     magnify,

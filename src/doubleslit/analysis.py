@@ -7,7 +7,6 @@ partial).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from .core import BeamParameters
 from .errors import DomainError
 from .geometry import BeamlineLayout, make_mask, open_fraction
-from .propagation import GridSpec, IntensityProfile, simulate_beamline
+from .propagation import GridSpec, IntensityProfile, field_at_mask, simulate_beamline
 from .sampler import profile_cdf
 
 
@@ -70,28 +69,22 @@ def run_sweep(
     beam: BeamParameters,
     centers,
     grid: GridSpec,
-    jobs: int = 1,
 ) -> SweepResult:
-    """Simulate the beamline at every mask center.
+    """Simulate the beamline at every mask center, in order.
 
-    Each center is an independent pure computation, so jobs > 1 evaluates
-    them in a thread pool; results are ordered by center and bit-identical
-    to the sequential run.
+    The field at the mask does not depend on the mask position, so it is
+    propagated once and shared by every center.
     """
-    centers = [float(c) for c in centers]
-
-    def one(c: float) -> SweepEntry:
-        profile = simulate_beamline(layout, beam, c, grid)
+    at_mask = field_at_mask(layout, beam, grid)
+    entries = []
+    for c in map(float, centers):
+        profile = simulate_beamline(layout, beam, c, grid, at_mask=at_mask)
         fr = open_fraction(layout.doubleslit, make_mask(layout.mask_opening_width, c))
-        return SweepEntry(
-            mask_center=c, profile=profile, fractions=fr, label=classify_fractions(*fr)
+        entries.append(
+            SweepEntry(
+                mask_center=c, profile=profile, fractions=fr, label=classify_fractions(*fr)
+            )
         )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(one, centers))
-    else:
-        entries = [one(c) for c in centers]
     return SweepResult(entries=tuple(entries))
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -34,12 +33,24 @@ from .pgm import MAXVAL, read_pgm, write_pgm
 from .propagation import IntensityProfile, simulate_beamline
 
 
-def _write_profile_csv(path: Path, profile: IntensityProfile) -> None:
-    x = profile.x
+def _x_column(profile: IntensityProfile) -> list[str]:
+    """The formatted first column of a profile CSV, separator included."""
+    return [f"{x:.17g}," for x in profile.x.tolist()]
+
+
+def _write_profile_csv(
+    path: Path, profile: IntensityProfile, xs: list[str] | None = None
+) -> None:
+    """Write `x_m,intensity` rows with 17 significant digits.
+
+    xs is _x_column(profile), passed in when many profiles share one grid
+    so that the column is formatted once.
+    """
+    if xs is None:
+        xs = _x_column(profile)
     with open(path, "w", newline="") as fh:
         fh.write("x_m,intensity\n")
-        for i in range(profile.n):
-            fh.write(f"{x[i]:.17g},{profile.values[i]:.17g}\n")
+        fh.writelines(map(str.__add__, xs, map("%.17g\n".__mod__, profile.values.tolist())))
 
 
 def _write_meta(path: Path, config: RunConfig, extras: dict) -> None:
@@ -118,13 +129,14 @@ def cmd_sweep(args) -> int:
     if lo == hi:
         raise ConfigError("--from and --to must differ (centers must be monotone)")
     centers = np.linspace(lo, hi, args.steps)
-    jobs = min(8, os.cpu_count() or 1)
-    result = run_sweep(config.layout(), config.beam(), centers, config.grid(), jobs=jobs)
+    result = run_sweep(config.layout(), config.beam(), centers, config.grid())
+    # SweepResult holds one grid for all profiles.
+    xs = _x_column(result.entries[0].profile)
     with open(out / "manifest.csv", "w", newline="") as fh:
         fh.write("index,center_m,fraction_slit1,fraction_slit2,label,file\n")
         for i, entry in enumerate(result.entries):
             name = f"sweep_{i:03d}.csv"
-            _write_profile_csv(out / name, entry.profile)
+            _write_profile_csv(out / name, entry.profile, xs)
             f1, f2 = entry.fractions
             fh.write(
                 f"{i},{entry.mask_center:.17g},{f1:.17g},{f2:.17g},"

@@ -324,22 +324,18 @@ def _collimation_illumination(
     return illum
 
 
-def simulate_detector_field(
+def field_at_mask(
     layout: BeamlineLayout,
     beam: BeamParameters,
-    mask_center: float | None,
     grid: GridSpec,
     include_collimation: bool = False,
     max_angle: float = DEFAULT_MAX_ANGLE,
 ) -> WaveField:
-    """Field at the detector plane, after magnification.
+    """Field arriving at the mask plane, before the mask.
 
     Composition: illumination -> double slit -> spectral step over the
-    slit/mask gap -> mask -> single-step Fresnel transform to the detector
-    -> coordinate magnification.  A mask opening clipped entirely outside
-    the grid window blocks everything and yields a zero field.  Passing
-    mask_center=None removes the mask, the reference for quantifying how
-    little a centered mask disturbs the pattern.
+    slit/mask gap.  Nothing here depends on the mask position, so a sweep
+    computes it once and passes it to every beamline pass as `at_mask`.
     """
     n, dx = grid.n, grid.dx
     x0 = symmetric_grid_origin(n, dx)
@@ -350,13 +346,45 @@ def simulate_detector_field(
         illum = np.ones(n, dtype=np.complex128)
     field = WaveField(x0=x0, dx=dx, wavelength=beam.wavelength, amplitudes=illum)
     field = apply_aperture(field, layout.doubleslit)
-    field = angular_spectrum_step(field, layout.z_doubleslit_to_mask, max_angle)
+    return angular_spectrum_step(field, layout.z_doubleslit_to_mask, max_angle)
+
+
+def simulate_detector_field(
+    layout: BeamlineLayout,
+    beam: BeamParameters,
+    mask_center: float | None,
+    grid: GridSpec,
+    include_collimation: bool = False,
+    max_angle: float = DEFAULT_MAX_ANGLE,
+    at_mask: WaveField | None = None,
+) -> WaveField:
+    """Field at the detector plane, after magnification.
+
+    Composition: field at the mask (see field_at_mask) -> mask ->
+    single-step Fresnel transform to the detector -> coordinate
+    magnification.  A mask opening clipped entirely outside the grid window
+    blocks everything and yields a zero field on the detector grid.  Passing
+    mask_center=None removes the mask, the reference for quantifying how
+    little a centered mask disturbs the pattern.
+
+    at_mask, when given, is the result of field_at_mask for the same
+    layout, beam, grid, include_collimation and max_angle; it replaces that
+    computation, which is then skipped.  Only its grid (n, dx, x0) and
+    wavelength are checked: a field computed for another slit layout,
+    include_collimation or max_angle is not detected and gives a wrong
+    detector field.
+    """
+    if at_mask is None:
+        field = field_at_mask(layout, beam, grid, include_collimation, max_angle)
+    elif (at_mask.n, at_mask.dx, at_mask.x0, at_mask.wavelength) != (
+        grid.n, grid.dx, symmetric_grid_origin(grid.n, grid.dx), beam.wavelength
+    ):
+        raise DomainError("at_mask field was not computed on this grid and beam")
+    else:
+        field = at_mask
     if mask_center is not None:
         mask = make_mask(layout.mask_opening_width, mask_center)
-        win_lo, win_hi = field.window
-        mask = mask.intersect(win_lo, win_hi)
-        if mask.is_blocked:
-            return replace(field, amplitudes=np.zeros(n, dtype=np.complex128))
+        mask = mask.intersect(*field.window)
         _check_support(mask, grid.window, "mask")
         field = apply_aperture(field, mask)
     field = fresnel_transform_step(field, layout.z_mask_to_detector)
@@ -371,15 +399,16 @@ def simulate_beamline(
     include_collimation: bool = False,
     normalize: bool = True,
     max_angle: float = DEFAULT_MAX_ANGLE,
+    at_mask: WaveField | None = None,
 ) -> IntensityProfile:
     """Detector-plane intensity for one mask position.
 
     With normalize=True the profile integrates to 1 (detection density);
     with normalize=False it keeps the flux implied by unit incident
     amplitude, which is the right gauge for comparing flux across mask
-    positions or slit subsets.
+    positions or slit subsets.  at_mask is as in simulate_detector_field.
     """
     field = simulate_detector_field(
-        layout, beam, mask_center, grid, include_collimation, max_angle
+        layout, beam, mask_center, grid, include_collimation, max_angle, at_mask
     )
     return intensity_profile(field, normalize=normalize)

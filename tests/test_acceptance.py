@@ -7,7 +7,6 @@ a test fix.
 """
 import contextlib
 import itertools
-import os
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -99,7 +98,7 @@ def sweep(beamline):
     layout, beam, grid = beamline
     centers = np.linspace(-2.8e-6, 2.8e-6, 41)
     start = time.perf_counter()
-    result = run_sweep(layout, beam, centers, grid, jobs=min(8, os.cpu_count() or 1))
+    result = run_sweep(layout, beam, centers, grid)
     return result, time.perf_counter() - start
 
 

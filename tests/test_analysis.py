@@ -180,15 +180,20 @@ def test_sweep_labels_and_orderings(small_sweep_setup):
         run_sweep(layout, beam, [0.0, 0.0], grid)
 
 
-def test_sweep_parallel_matches_sequential(small_sweep_setup):
+def test_sweep_matches_fresh_beamline_loop(small_sweep_setup):
+    # The shared slit-to-mask field must not change a single bit: each
+    # entry equals an independent simulate_beamline call, including a
+    # mask clipped away entirely (zeros on the same detector grid).
     layout, beam, grid = small_sweep_setup
-    centers = np.linspace(-2.6e-6, 2.6e-6, 7)
-    seq = run_sweep(layout, beam, centers, grid, jobs=1)
-    par = run_sweep(layout, beam, centers, grid, jobs=4)
-    for a, b in zip(seq.entries, par.entries):
-        assert a.mask_center == b.mask_center
-        assert a.label == b.label
-        assert np.array_equal(a.profile.values, b.profile.values)
+    centers = np.append(np.linspace(-2.6e-6, 2.6e-6, 7), 40e-6)
+    result = run_sweep(layout, beam, centers, grid)
+    assert [e.mask_center for e in result.entries] == centers.tolist()
+    assert result.labels[-1] == "blocked"
+    for c, entry in zip(centers, result.entries):
+        fresh = simulate_beamline(layout, beam, float(c), grid)
+        assert (entry.profile.x0, entry.profile.dx) == (fresh.x0, fresh.dx)
+        assert entry.profile.normalized == fresh.normalized
+        assert np.array_equal(entry.profile.values, fresh.values)
 
 
 # --- KS distance -------------------------------------------------------------

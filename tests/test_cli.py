@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from doubleslit.cli import main
+from doubleslit.cli import _write_profile_csv, _x_column, main
 from doubleslit.pgm import read_pgm, write_pgm
+from doubleslit.propagation import IntensityProfile
 
 MINI_CONFIG = """\
 sampler.n_events = 30
@@ -55,6 +56,55 @@ def test_pattern_mask_changes_profile(tmp_path, mini_config):
     masked = (a / "pattern.csv").read_bytes()
     free = (b / "pattern.csv").read_bytes()
     assert masked != free
+
+
+def test_pattern_with_mask_outside_window(tmp_path, mini_config):
+    # A mask clipped away entirely gives zeros on the detector grid, the
+    # same x axis as an open mask.
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    assert run("pattern", "--config", mini_config, "--out", str(a)) == 0
+    assert run("pattern", "--config", mini_config, "--out", str(b),
+               "--mask-center", "40 um") == 0
+    open_rows = [line.split(",") for line in (a / "pattern.csv").read_text().splitlines()]
+    gone_rows = [line.split(",") for line in (b / "pattern.csv").read_text().splitlines()]
+    assert [r[0] for r in gone_rows] == [r[0] for r in open_rows]
+    assert {r[1] for r in gone_rows[1:]} == {"0"}
+
+
+def reference_write_profile_csv(path, profile):
+    """The original per-row writer, kept as the byte-level oracle."""
+    x = profile.x
+    with open(path, "w", newline="") as fh:
+        fh.write("x_m,intensity\n")
+        for i in range(profile.n):
+            fh.write(f"{x[i]:.17g},{profile.values[i]:.17g}\n")
+
+
+EXTREME_VALUES = [0.0, -0.0, 5e-324, 1e-300, 1e300, 0.1, 2.6097334316950124e-07, 1.0, 7.0]
+
+
+@pytest.mark.parametrize(
+    "x0,dx",
+    [(0.0, 5e-324), (-1e-300, 1e-300), (-1e300, 1e300), (-3.2e-5, 9.765625e-10),
+     (-0.12817373803113344, 3.9116117504e-06)],
+)
+def test_profile_writer_matches_per_row_reference(tmp_path, x0, dx):
+    profiles = [
+        IntensityProfile(x0=x0, dx=dx, values=np.asarray(vals), normalized=False)
+        for vals in (EXTREME_VALUES, EXTREME_VALUES[::-1],
+                     np.random.default_rng(3).random(8) ** 9)
+    ]
+    xs = _x_column(profiles[0])
+    for i, profile in enumerate(profiles):
+        expected = tmp_path / f"ref_{i}.csv"
+        reference_write_profile_csv(expected, profile)
+        single = tmp_path / f"single_{i}.csv"
+        _write_profile_csv(single, profile)
+        shared = tmp_path / f"shared_{i}.csv"
+        _write_profile_csv(shared, profile, xs)
+        assert single.read_bytes() == expected.read_bytes()
+        assert shared.read_bytes() == expected.read_bytes()
 
 
 def test_sweep_manifest(tmp_path, mini_config):

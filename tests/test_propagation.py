@@ -17,6 +17,7 @@ from doubleslit.propagation import (
     angular_spectrum_step,
     apply_aperture,
     direct_integral_reference,
+    field_at_mask,
     fresnel_transform_step,
     intensity_profile,
     magnify,
@@ -264,6 +265,38 @@ def test_mask_outside_grid_window_blocks_everything(experiment_setup):
     beam, layout, grid = experiment_setup
     prof = simulate_beamline(layout, beam, 40e-6, grid, normalize=False)
     assert prof.values.max() == 0.0
+    # The zero field still lives on the magnified detector grid.
+    ref = simulate_beamline(layout, beam, 0.0, grid, normalize=False)
+    assert (prof.x0, prof.dx, prof.n) == (ref.x0, ref.dx, ref.n)
+
+
+@pytest.mark.parametrize(
+    "mask_center,include_collimation",
+    [(None, False), (0.0, False), (-2.52e-6, False), (40e-6, False), (0.0, True)],
+)
+def test_at_mask_field_reproduces_full_pass(experiment_setup, mask_center,
+                                            include_collimation):
+    beam, layout, grid = experiment_setup
+    at_mask = field_at_mask(layout, beam, grid, include_collimation)
+    full = simulate_detector_field(layout, beam, mask_center, grid,
+                                   include_collimation)
+    shared = simulate_detector_field(layout, beam, mask_center, grid,
+                                     include_collimation, at_mask=at_mask)
+    assert (shared.x0, shared.dx) == (full.x0, full.dx)
+    assert np.array_equal(shared.amplitudes, full.amplitudes)
+
+
+def test_at_mask_field_must_match_grid(experiment_setup):
+    from dataclasses import replace
+
+    beam, layout, grid = experiment_setup
+    half = GridSpec(window=grid.window / 2, n=grid.n // 2)
+    at_mask = field_at_mask(layout, beam, half)
+    with pytest.raises(DomainError):
+        simulate_beamline(layout, beam, 0.0, grid, at_mask=at_mask)
+    shifted = replace(field_at_mask(layout, beam, grid), x0=0.0)
+    with pytest.raises(DomainError):
+        simulate_beamline(layout, beam, 0.0, grid, at_mask=shifted)
 
 
 def test_collimation_stage_preserves_fringe_structure(experiment_setup):
