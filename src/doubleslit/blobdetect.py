@@ -17,7 +17,6 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DomainError
-from .sampler import Frame
 
 
 @dataclass(frozen=True)
@@ -79,19 +78,13 @@ def _validate_scales(scales) -> np.ndarray:
     return arr
 
 
-def _image_of(frame) -> np.ndarray:
-    if isinstance(frame, Frame):
-        return frame.counts.astype(np.float64)
-    return np.asarray(frame, dtype=np.float64)
-
-
 def scale_space_response(frame, scales) -> np.ndarray:
     """Stack of t * Laplacian(Gaussian(image, sqrt(t))) over the ladder.
 
     Mirror padding at the borders.  Output shape (len(scales), H, W).
     """
     arr = _validate_scales(scales)
-    img = _image_of(frame)
+    img = np.asarray(frame, dtype=np.float64)
     stack = np.empty((arr.size,) + img.shape)
     for k, t in enumerate(arr):
         smoothed = ndimage.gaussian_filter(img, sigma=np.sqrt(t), mode="mirror")
@@ -179,14 +172,16 @@ def detect_blobs(frame, scales, threshold: float | None = None) -> list[BlobDesc
     detections closer than 1.5*(sqrt(t1)+sqrt(t2)) only the stronger
     survives.
     """
-    arr = _validate_scales(scales)
-    if arr.size < 3:
+    stack = scale_space_response(frame, scales)
+    if stack.shape[0] < 3:
         raise DomainError("blob detection needs at least 3 scales")
-    stack = scale_space_response(frame, arr)
+    arr = np.asarray(scales, dtype=np.float64)
     if threshold is None:
         threshold = max(7.0 * 1.4826 * _mad(stack), 1e-3 * np.max(np.abs(stack)))
     extremal = _thresholded_minima(stack, threshold)
     n_s, n_y, n_x = stack.shape
+    # ladder is geometric, so the scale is refined on log t
+    log_ratio = np.log(arr[1] / arr[0])
     candidates = []
     for k, i, j in zip(*np.nonzero(extremal)):
         t = arr[k]
@@ -196,8 +191,6 @@ def detect_blobs(frame, scales, threshold: float | None = None) -> list[BlobDesc
         dy, _ = _refine(stack[k, :, j], i)
         dx, _ = _refine(stack[k, i, :], j)
         dk, resp = _refine(stack[:, i, j], k)
-        # ladder is geometric, so refine the scale on log t
-        log_ratio = np.log(arr[1] / arr[0]) if arr.size > 1 else 0.0
         t_ref = float(t * np.exp(dk * log_ratio))
         candidates.append(BlobDescriptor(x=j + dx, y=i + dy, scale_t=t_ref, response=resp))
     candidates.sort(key=lambda b: abs(b.response), reverse=True)

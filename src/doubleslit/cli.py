@@ -26,6 +26,7 @@ from .config import (
     config_text,
     load_config,
     parse_length,
+    parse_override,
 )
 from .core import mean_interelectron_distance
 from .errors import ConfigError, DomainError, FrameFileError, GridConfigError
@@ -150,12 +151,7 @@ def cmd_sweep(args) -> int:
 def cmd_buildup(args) -> int:
     config = load_config(args.config, args.seed)
     if args.checkpoints:
-        try:
-            marks = tuple(int(tok) for tok in args.checkpoints.split(","))
-        except ValueError:
-            raise ConfigError("--checkpoints must be a comma-separated integer list")
-        if any(b <= a for a, b in zip(marks, marks[1:])) or any(c < 1 for c in marks):
-            raise ConfigError("--checkpoints must be strictly increasing and >= 1")
+        marks = parse_override("buildup.checkpoints", args.checkpoints, "--checkpoints")
         config = dataclasses.replace(config, checkpoints=marks)
     out = _out_dir(args, config)
     run = run_buildup(config)

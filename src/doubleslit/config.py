@@ -1,15 +1,20 @@
 """Run configuration: line-oriented `section.key = value` files.
 
 Values may carry SI suffixes (nm, um, mm, cm, m, eV, keV, Hz).  Blank
-lines and `#` comments are ignored.  Unknown keys, malformed lines and
-out-of-range values are configuration errors reported with their line
-number.  The seed must be given explicitly (file or --seed); runs never
-fall back to wall-clock entropy.
+lines and `#` comments are ignored.  Unknown keys, malformed lines,
+non-finite numbers and out-of-range values are configuration errors
+reported with their line number.  The seed must be given explicitly (file
+or --seed); runs never fall back to wall-clock entropy.
+
+Each key is declared once, on its RunConfig field: the key, its kind, its
+default text and its lower bound.  Parsing, defaults, bounds and the
+metadata echo all read those declarations.
 """
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .core import BeamParameters
 from .errors import ConfigError
@@ -20,40 +25,6 @@ LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "cm": 1e-2, "m": 1.0}
 ENERGY_UNITS = {"eV": 1.0, "keV": 1e3}
 RATE_UNITS = {"Hz": 1.0}
 
-# (kind, default text); None default means the key is required.
-SCHEMA: dict[str, tuple[str, str | None]] = {
-    "beam.energy": ("energy", "600 eV"),
-    "slits.width": ("length", "50 nm"),
-    "slits.separation": ("length", "280 nm"),
-    "slits.height": ("length", "4 um"),
-    "collimation.width": ("length", "2 um"),
-    "collimation.distance": ("length", "30.5 cm"),
-    "mask.opening_width": ("length", "5 um"),
-    "mask.distance": ("length", "230 um"),
-    "detector.distance": ("length", "0.5 m"),
-    "detector.magnification": ("float", "10"),
-    "grid.window": ("length", "64 um"),
-    "grid.n": ("int", "65536"),
-    # The experiment quotes ~1 Hz arriving inside the analyzed pattern but a
-    # total beam rate near 6.3 Hz; both are explicit so neither is guessed.
-    "sampler.pattern_rate": ("rate", "1 Hz"),
-    "sampler.total_rate": ("rate", "6.32 Hz"),
-    "sampler.n_events": ("int", "6235"),
-    "sampler.psf_sigma": ("float", "3"),
-    "sampler.amplitude": ("float", "1000"),
-    "sampler.background": ("float", "0.05"),
-    "frame.width": ("int", "416"),
-    "frame.height": ("int", "32"),
-    "frame.pitch": ("length", "12 um"),
-    "blob.t_min": ("float", "2"),
-    "blob.t_max": ("float", "30"),
-    "blob.ratio": ("float", "1.3"),
-    "blob.threshold": ("threshold", "auto"),
-    "buildup.checkpoints": ("int_list", "2,7,209,1004,6235"),
-    "output.directory": ("string", "out"),
-    "run.seed": ("int", None),
-}
-
 # Not stated by the source experiment; free choices that scale the detector
 # pattern.  Flagged in every metadata echo.
 ASSUMED_KEYS = ("detector.distance", "detector.magnification")
@@ -61,109 +32,55 @@ ASSUMED_KEYS = ("detector.distance", "detector.magnification")
 _NUMBER_RE = re.compile(r"^([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([A-Za-z]*)$")
 
 
-def _parse_scalar(key: str, kind: str, text: str, where: str):
-    if kind == "int_list":
-        try:
-            values = tuple(int(tok) for tok in text.split(","))
-        except ValueError:
-            raise ConfigError(f"{where}: {key} must be a comma-separated integer list")
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ConfigError(f"{where}: {key} must be strictly increasing")
-        return values
-    if kind == "string":
-        if not text:
-            raise ConfigError(f"{where}: {key} must not be empty")
-        return text
-    if kind == "threshold":
-        if text == "auto":
-            return None
-        kind = "float"
-    m = _NUMBER_RE.match(text)
-    if not m:
-        raise ConfigError(f"{where}: cannot parse value {text!r} for {key}")
-    number, suffix = m.group(1), m.group(2)
-    try:
-        value = float(number)
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse number {number!r} for {key}")
-    units = {"length": LENGTH_UNITS, "energy": ENERGY_UNITS, "rate": RATE_UNITS}.get(kind)
-    if units is not None:
-        if suffix:
-            if suffix not in units:
-                raise ConfigError(
-                    f"{where}: unit {suffix!r} not valid for {key} "
-                    f"(expected one of {', '.join(units)})"
-                )
-            value *= units[suffix]
-        return value
-    if suffix:
-        raise ConfigError(f"{where}: {key} takes a bare number, got unit {suffix!r}")
-    if kind == "int":
-        if value != int(value):
-            raise ConfigError(f"{where}: {key} must be an integer")
-        return int(value)
-    return value
+def _key(key: str, kind: str, default: str | None, bound: str | None = None):
+    """Declare the config key behind a RunConfig field.
 
-
-def parse_length(text: str, name: str) -> float:
-    """Parse a command-line length such as '230 um' or '-2.52e-6 m'."""
-    return _parse_scalar(name, "length", text.strip(), "argument")
-
-
-def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Raw key -> parsed value mapping; schema defaults are not applied."""
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"{source}:{lineno}"
-        if "=" not in line:
-            raise ConfigError(f"{where}: expected 'section.key = value'")
-        key, _, value_text = line.partition("=")
-        key = key.strip()
-        value_text = value_text.strip()
-        if key not in SCHEMA:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{where}: duplicate key {key!r}")
-        kind, _ = SCHEMA[key]
-        values[key] = _parse_scalar(key, kind, value_text, where)
-    return values
+    default is the value text (None: the key is required); bound is
+    "positive", "nonnegative" or None, and applies to each element of an
+    int_list.
+    """
+    return field(metadata=dict(key=key, kind=kind, default=default, bound=bound))
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated settings for one invocation."""
 
-    beam_energy: float
-    slit_width: float
-    slit_separation: float
-    slit_height: float
-    collimation_width: float
-    collimation_distance: float
-    mask_opening_width: float
-    mask_distance: float
-    detector_distance: float
-    magnification: float
-    grid_window: float
-    grid_n: int
-    pattern_rate: float
-    total_rate: float
-    n_events: int
-    psf_sigma: float
-    amplitude: float
-    background: float
-    frame_width: int
-    frame_height: int
-    frame_pitch: float
-    blob_t_min: float
-    blob_t_max: float
-    blob_ratio: float
-    blob_threshold: float | None
-    checkpoints: tuple[int, ...]
-    output_directory: str
-    seed: int
+    beam_energy: float = _key("beam.energy", "energy", "600 eV", "positive")
+    slit_width: float = _key("slits.width", "length", "50 nm", "positive")
+    slit_separation: float = _key("slits.separation", "length", "280 nm", "positive")
+    slit_height: float = _key("slits.height", "length", "4 um", "positive")
+    collimation_width: float = _key("collimation.width", "length", "2 um", "positive")
+    collimation_distance: float = _key(
+        "collimation.distance", "length", "30.5 cm", "positive"
+    )
+    mask_opening_width: float = _key("mask.opening_width", "length", "5 um", "positive")
+    mask_distance: float = _key("mask.distance", "length", "230 um", "positive")
+    detector_distance: float = _key("detector.distance", "length", "0.5 m", "positive")
+    magnification: float = _key("detector.magnification", "float", "10", "positive")
+    grid_window: float = _key("grid.window", "length", "64 um", "positive")
+    grid_n: int = _key("grid.n", "int", "65536", "positive")
+    # The experiment quotes ~1 Hz arriving inside the analyzed pattern but a
+    # total beam rate near 6.3 Hz; both are explicit so neither is guessed.
+    pattern_rate: float = _key("sampler.pattern_rate", "rate", "1 Hz", "positive")
+    total_rate: float = _key("sampler.total_rate", "rate", "6.32 Hz", "positive")
+    n_events: int = _key("sampler.n_events", "int", "6235", "nonnegative")
+    psf_sigma: float = _key("sampler.psf_sigma", "float", "3", "positive")
+    amplitude: float = _key("sampler.amplitude", "float", "1000", "positive")
+    background: float = _key("sampler.background", "float", "0.05", "nonnegative")
+    frame_width: int = _key("frame.width", "int", "416", "positive")
+    frame_height: int = _key("frame.height", "int", "32", "positive")
+    frame_pitch: float = _key("frame.pitch", "length", "12 um", "positive")
+    blob_t_min: float = _key("blob.t_min", "float", "2", "positive")
+    blob_t_max: float = _key("blob.t_max", "float", "30", "positive")
+    blob_ratio: float = _key("blob.ratio", "float", "1.3")
+    # 'auto' (None) or a positive number.
+    blob_threshold: float | None = _key("blob.threshold", "threshold", "auto", "positive")
+    checkpoints: tuple[int, ...] = _key(
+        "buildup.checkpoints", "int_list", "2,7,209,1004,6235", "positive"
+    )
+    output_directory: str = _key("output.directory", "string", "out")
+    seed: int = _key("run.seed", "int", None, "nonnegative")
 
     def beam(self) -> BeamParameters:
         return BeamParameters.from_energy(self.beam_energy)
@@ -197,84 +114,116 @@ class RunConfig:
         return self.slit_height * self.magnification
 
 
-_KEY_TO_FIELD = {
-    "beam.energy": "beam_energy",
-    "slits.width": "slit_width",
-    "slits.separation": "slit_separation",
-    "slits.height": "slit_height",
-    "collimation.width": "collimation_width",
-    "collimation.distance": "collimation_distance",
-    "mask.opening_width": "mask_opening_width",
-    "mask.distance": "mask_distance",
-    "detector.distance": "detector_distance",
-    "detector.magnification": "magnification",
-    "grid.window": "grid_window",
-    "grid.n": "grid_n",
-    "sampler.pattern_rate": "pattern_rate",
-    "sampler.total_rate": "total_rate",
-    "sampler.n_events": "n_events",
-    "sampler.psf_sigma": "psf_sigma",
-    "sampler.amplitude": "amplitude",
-    "sampler.background": "background",
-    "frame.width": "frame_width",
-    "frame.height": "frame_height",
-    "frame.pitch": "frame_pitch",
-    "blob.t_min": "blob_t_min",
-    "blob.t_max": "blob_t_max",
-    "blob.ratio": "blob_ratio",
-    "blob.threshold": "blob_threshold",
-    "buildup.checkpoints": "checkpoints",
-    "output.directory": "output_directory",
-    "run.seed": "seed",
-}
-_FIELD_TO_KEY = {f: k for k, f in _KEY_TO_FIELD.items()}
+# key -> the RunConfig field that declares it, in field order.
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
-_POSITIVE_KEYS = (
-    "beam.energy",
-    "slits.width",
-    "slits.separation",
-    "slits.height",
-    "collimation.width",
-    "collimation.distance",
-    "mask.opening_width",
-    "mask.distance",
-    "detector.distance",
-    "detector.magnification",
-    "grid.window",
-    "grid.n",
-    "sampler.pattern_rate",
-    "sampler.total_rate",
-    "sampler.psf_sigma",
-    "sampler.amplitude",
-    "frame.width",
-    "frame.height",
-    "frame.pitch",
-    "blob.t_min",
-    "blob.t_max",
-)
+
+def _parse_scalar(key: str, kind: str, text: str, where: str):
+    if kind == "int_list":
+        try:
+            values = tuple(int(tok) for tok in text.split(","))
+        except ValueError:
+            raise ConfigError(f"{where}: {key} must be a comma-separated integer list")
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ConfigError(f"{where}: {key} must be strictly increasing")
+        return values
+    if kind == "string":
+        if not text:
+            raise ConfigError(f"{where}: {key} must not be empty")
+        return text
+    if kind == "threshold":
+        if text == "auto":
+            return None
+        kind = "float"
+    m = _NUMBER_RE.match(text)
+    if not m:
+        raise ConfigError(f"{where}: cannot parse value {text!r} for {key}")
+    number, suffix = m.group(1), m.group(2)
+    try:
+        value = float(number)
+    except ValueError:
+        raise ConfigError(f"{where}: cannot parse number {number!r} for {key}")
+    units = {"length": LENGTH_UNITS, "energy": ENERGY_UNITS, "rate": RATE_UNITS}.get(kind)
+    if units is None:
+        if suffix:
+            raise ConfigError(f"{where}: {key} takes a bare number, got unit {suffix!r}")
+    elif suffix:
+        if suffix not in units:
+            raise ConfigError(
+                f"{where}: unit {suffix!r} not valid for {key} "
+                f"(expected one of {', '.join(units)})"
+            )
+        value *= units[suffix]
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: {key} must be finite, got {text!r}")
+    if kind == "int":
+        if value != int(value):
+            raise ConfigError(f"{where}: {key} must be an integer")
+        return int(value)
+    return value
+
+
+def _check_bound(key: str, bound: str | None, value, where: str) -> None:
+    if bound is None or value is None:
+        return
+    items = value if isinstance(value, tuple) else (value,)
+    if bound == "positive":
+        ok = all(v > 0 for v in items)
+    else:
+        ok = all(v >= 0 for v in items)
+    if not ok:
+        raise ConfigError(f"{where}: {key} must be {bound}, got {value}")
+
+
+def parse_length(text: str, name: str) -> float:
+    """Parse a command-line length such as '230 um' or '-2.52e-6 m'."""
+    return _parse_scalar(name, "length", text.strip(), "argument")
+
+
+def parse_override(key: str, text: str, name: str):
+    """Parse a command-line override of `key` with its kind and bound.
+
+    Errors name the option `name`, e.g. '--checkpoints'.
+    """
+    meta = _FIELDS[key].metadata
+    value = _parse_scalar(name, meta["kind"], text.strip(), "argument")
+    _check_bound(name, meta["bound"], value, "argument")
+    return value
+
+
+def parse_config_text(text: str, source: str = "<config>") -> dict:
+    """Raw key -> parsed value mapping; schema defaults are not applied."""
+    values: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{source}:{lineno}"
+        if "=" not in line:
+            raise ConfigError(f"{where}: expected 'section.key = value'")
+        key, _, value_text = line.partition("=")
+        key = key.strip()
+        if key not in _FIELDS:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        kind = _FIELDS[key].metadata["kind"]
+        values[key] = _parse_scalar(key, kind, value_text.strip(), where)
+    return values
 
 
 def build_config(values: dict, source: str = "<config>") -> RunConfig:
-    """Apply schema defaults and cross-field validation."""
+    """Apply schema defaults, lower bounds and cross-field validation."""
     merged = {}
-    for key, (kind, default) in SCHEMA.items():
+    for key, f in _FIELDS.items():
+        meta = f.metadata
         if key in values:
             merged[key] = values[key]
-        elif default is not None:
-            merged[key] = _parse_scalar(key, kind, default, "<default>")
+        elif meta["default"] is not None:
+            merged[key] = _parse_scalar(key, meta["kind"], meta["default"], "<default>")
         else:
             raise ConfigError(f"{source}: required key {key!r} is missing")
-    for key in _POSITIVE_KEYS:
-        if not merged[key] > 0:
-            raise ConfigError(f"{source}: {key} must be positive, got {merged[key]}")
-    if merged["sampler.n_events"] < 0:
-        raise ConfigError(f"{source}: sampler.n_events must be nonnegative")
-    if merged["run.seed"] < 0:
-        raise ConfigError(f"{source}: run.seed must be nonnegative")
-    if any(cp < 1 for cp in merged["buildup.checkpoints"]):
-        raise ConfigError(f"{source}: buildup.checkpoints must be >= 1")
-    if merged["sampler.background"] < 0:
-        raise ConfigError(f"{source}: sampler.background must be nonnegative")
+        _check_bound(key, meta["bound"], merged[key], source)
     if not merged["slits.width"] < merged["slits.separation"]:
         raise ConfigError(
             f"{source}: slits.width must be below slits.separation "
@@ -287,10 +236,7 @@ def build_config(values: dict, source: str = "<config>") -> RunConfig:
         raise ConfigError(f"{source}: blob.t_min must not exceed blob.t_max")
     if not merged["blob.ratio"] > 1:
         raise ConfigError(f"{source}: blob.ratio must exceed 1")
-    thr = merged["blob.threshold"]
-    if thr is not None and not thr > 0:
-        raise ConfigError(f"{source}: blob.threshold must be positive or 'auto'")
-    return RunConfig(**{_KEY_TO_FIELD[k]: v for k, v in merged.items()})
+    return RunConfig(**{_FIELDS[k].name: v for k, v in merged.items()})
 
 
 def load_config(path: str | None, seed: int | None = None) -> RunConfig:
@@ -311,31 +257,24 @@ def load_config(path: str | None, seed: int | None = None) -> RunConfig:
     return build_config(values, source)
 
 
-def _format_value(key: str, value) -> str:
-    kind, _ = SCHEMA[key]
+_UNIT_SUFFIX = {"length": " m", "energy": " eV", "rate": " Hz"}
+
+
+def _format_value(kind: str, value) -> str:
     if kind == "int_list":
         return ",".join(str(v) for v in value)
     if kind == "threshold" and value is None:
         return "auto"
-    if kind == "string":
-        return value
-    if kind == "int":
+    if kind in ("string", "int"):
         return str(value)
-    if kind == "length":
-        return f"{value:.17g} m"
-    if kind == "energy":
-        return f"{value:.17g} eV"
-    if kind == "rate":
-        return f"{value:.17g} Hz"
-    return f"{value:.17g}"
+    return f"{value:.17g}{_UNIT_SUFFIX.get(kind, '')}"
 
 
 def config_text(config: RunConfig) -> str:
     """Canonicalized echo of every effective setting, assumptions flagged."""
     lines = []
-    for field in fields(RunConfig):
-        key = _FIELD_TO_KEY[field.name]
-        value = getattr(config, field.name)
+    for key, f in _FIELDS.items():
+        value = _format_value(f.metadata["kind"], getattr(config, f.name))
         flag = "  # assumed, not a measured value" if key in ASSUMED_KEYS else ""
-        lines.append(f"{key} = {_format_value(key, value)}{flag}")
+        lines.append(f"{key} = {value}{flag}")
     return "\n".join(lines) + "\n"

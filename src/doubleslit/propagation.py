@@ -155,16 +155,15 @@ def apply_aperture(field: WaveField, aperture: ApertureSpec) -> WaveField:
     return replace(field, amplitudes=field.amplitudes * t)
 
 
-def angular_spectrum_step(
-    field: WaveField, z: float, max_angle: float = DEFAULT_MAX_ANGLE
-) -> WaveField:
+def angular_spectrum_step(field: WaveField, z: float) -> WaveField:
     """Propagate a distance z by phase multiplication in the spectral domain.
 
     The spectrum is multiplied by exp(-i pi lambda z f^2).  Frequencies
     beyond the scalar-wave limit 1/lambda, or beyond the window-aliasing
     bound W/(2 lambda z) where the sampled transfer phase turns over, are
     zeroed.  On the beamline grids neither bound is reached, so the step is
-    exactly unitary there.
+    exactly unitary there.  The grid Nyquist angle lambda/(2 dx) must cover
+    DEFAULT_MAX_ANGLE, the largest diffraction angle the grid has to resolve.
 
     Parameters
     ----------
@@ -172,19 +171,16 @@ def angular_spectrum_step(
         Input field.
     z : float
         Propagation distance in meters; must be nonnegative.
-    max_angle : float
-        Largest diffraction angle the grid is required to resolve.  The
-        grid Nyquist angle lambda/(2 dx) must cover it.
     """
     if z < 0:
         raise DomainError(f"propagation distance must be nonnegative, got {z}")
     lam = field.wavelength
     nyquist_angle = lam / (2 * field.dx)
-    if nyquist_angle < max_angle:
+    if nyquist_angle < DEFAULT_MAX_ANGLE:
         raise GridConfigError(
             f"grid Nyquist angle {nyquist_angle:.3e} rad does not cover the "
-            f"required maximum diffraction angle {max_angle:.3e} rad; "
-            f"decrease dx below {lam / (2 * max_angle):.3e} m"
+            f"required maximum diffraction angle {DEFAULT_MAX_ANGLE:.3e} rad; "
+            f"decrease dx below {lam / (2 * DEFAULT_MAX_ANGLE):.3e} m"
         )
     if z == 0:
         return replace(field, amplitudes=field.amplitudes.copy())
@@ -329,7 +325,6 @@ def field_at_mask(
     beam: BeamParameters,
     grid: GridSpec,
     include_collimation: bool = False,
-    max_angle: float = DEFAULT_MAX_ANGLE,
 ) -> WaveField:
     """Field arriving at the mask plane, before the mask.
 
@@ -346,7 +341,7 @@ def field_at_mask(
         illum = np.ones(n, dtype=np.complex128)
     field = WaveField(x0=x0, dx=dx, wavelength=beam.wavelength, amplitudes=illum)
     field = apply_aperture(field, layout.doubleslit)
-    return angular_spectrum_step(field, layout.z_doubleslit_to_mask, max_angle)
+    return angular_spectrum_step(field, layout.z_doubleslit_to_mask)
 
 
 def simulate_detector_field(
@@ -355,7 +350,6 @@ def simulate_detector_field(
     mask_center: float | None,
     grid: GridSpec,
     include_collimation: bool = False,
-    max_angle: float = DEFAULT_MAX_ANGLE,
     at_mask: WaveField | None = None,
 ) -> WaveField:
     """Field at the detector plane, after magnification.
@@ -368,14 +362,13 @@ def simulate_detector_field(
     little a centered mask disturbs the pattern.
 
     at_mask, when given, is the result of field_at_mask for the same
-    layout, beam, grid, include_collimation and max_angle; it replaces that
+    layout, beam, grid and include_collimation; it replaces that
     computation, which is then skipped.  Only its grid (n, dx, x0) and
-    wavelength are checked: a field computed for another slit layout,
-    include_collimation or max_angle is not detected and gives a wrong
-    detector field.
+    wavelength are checked: a field computed for another slit layout or
+    include_collimation is not detected and gives a wrong detector field.
     """
     if at_mask is None:
-        field = field_at_mask(layout, beam, grid, include_collimation, max_angle)
+        field = field_at_mask(layout, beam, grid, include_collimation)
     elif (at_mask.n, at_mask.dx, at_mask.x0, at_mask.wavelength) != (
         grid.n, grid.dx, symmetric_grid_origin(grid.n, grid.dx), beam.wavelength
     ):
@@ -398,7 +391,6 @@ def simulate_beamline(
     grid: GridSpec,
     include_collimation: bool = False,
     normalize: bool = True,
-    max_angle: float = DEFAULT_MAX_ANGLE,
     at_mask: WaveField | None = None,
 ) -> IntensityProfile:
     """Detector-plane intensity for one mask position.
@@ -409,6 +401,6 @@ def simulate_beamline(
     positions or slit subsets.  at_mask is as in simulate_detector_field.
     """
     field = simulate_detector_field(
-        layout, beam, mask_center, grid, include_collimation, max_angle, at_mask
+        layout, beam, mask_center, grid, include_collimation, at_mask
     )
     return intensity_profile(field, normalize=normalize)

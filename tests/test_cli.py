@@ -229,3 +229,23 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     cfg.write_text("slits.width = 50 nm\n")
     assert run("pattern", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
     assert "run.seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("marks", ["0,5", "7,2"])
+def test_buildup_rejects_bad_checkpoint_override(tmp_path, mini_config, capsys, marks):
+    out = tmp_path / "ck"
+    assert run("buildup", "--config", mini_config, "--out", str(out),
+               "--checkpoints", marks) == 2
+    assert "--checkpoints" in capsys.readouterr().err
+    assert not (out / "events.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["grid.n", "run.seed", "sampler.n_events",
+                                 "grid.window", "blob.threshold"])
+def test_overflowing_config_value_exits_2(tmp_path, capsys, key):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"{key} = 1e999\n" + ("" if key == "run.seed" else "run.seed = 1\n"))
+    assert run("pattern", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be finite" in err
+    assert "Traceback" not in err

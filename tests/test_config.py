@@ -1,13 +1,18 @@
 """Configuration parsing: units, defaults, validation messages."""
+import re
+from dataclasses import fields
+
 import pytest
 
 from doubleslit.config import (
     ASSUMED_KEYS,
+    RunConfig,
     build_config,
     config_text,
     load_config,
     parse_config_text,
     parse_length,
+    parse_override,
 )
 from doubleslit.errors import ConfigError
 
@@ -152,3 +157,55 @@ def test_derived_helpers():
 def test_unreadable_config_path():
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config("/nonexistent/path.cfg")
+
+
+NUMERIC_KEYS = [
+    f.metadata["key"]
+    for f in fields(RunConfig)
+    if f.metadata["kind"] in ("int", "float", "length", "energy", "rate", "threshold")
+]
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_overflowing_numbers_name_key_and_line(key):
+    with pytest.raises(ConfigError, match=rf"<config>:2: {re.escape(key)} must be finite"):
+        parse_config_text(f"# header\n{key} = 1e999\n")
+
+
+def test_non_finite_after_unit_scaling_and_in_arguments():
+    with pytest.raises(ConfigError, match="grid.window must be finite"):
+        parse_config_text("grid.window = 1e999 m")
+    with pytest.raises(ConfigError, match="beam.energy must be finite"):
+        parse_config_text("beam.energy = 1e306 keV")
+    for name in ("--from", "--to", "--mask-center"):
+        with pytest.raises(ConfigError, match=f"argument: {name} must be finite"):
+            parse_length("-1e999 um", name)
+
+
+def test_declared_bounds():
+    # Counts, the seed and the background may be zero; lengths may not.
+    cfg = from_text("sampler.n_events = 0\nsampler.background = 0\nrun.seed = 0", seed=False)
+    assert (cfg.n_events, cfg.background, cfg.seed) == (0, 0.0, 0)
+    for text in ("sampler.n_events = -1", "sampler.background = -0.5", "grid.window = 0 m"):
+        key = text.split(" ")[0]
+        with pytest.raises(ConfigError, match=rf"<config>: {re.escape(key)} must be"):
+            from_text(text)
+    with pytest.raises(ConfigError, match="run.seed must be nonnegative"):
+        build_config({"run.seed": -4})
+
+
+def test_checkpoint_override_uses_key_parse_and_bound():
+    assert parse_override("buildup.checkpoints", " 5,30 ", "--checkpoints") == (5, 30)
+    with pytest.raises(ConfigError, match="--checkpoints must be positive"):
+        parse_override("buildup.checkpoints", "0,5", "--checkpoints")
+    with pytest.raises(ConfigError, match="--checkpoints must be strictly increasing"):
+        parse_override("buildup.checkpoints", "7,2", "--checkpoints")
+    with pytest.raises(ConfigError, match="--checkpoints must be a comma-separated"):
+        parse_override("buildup.checkpoints", "5,x", "--checkpoints")
+
+
+def test_every_field_declares_one_key():
+    keys = [f.metadata["key"] for f in fields(RunConfig)]
+    assert len(keys) == len(set(keys)) == 28
+    echoed = config_text(from_text("run.seed = 3"))
+    assert [ln.split(" = ")[0] for ln in echoed.splitlines()] == keys
