@@ -47,17 +47,9 @@ class SweepEntry:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Profiles over a monotone sequence of mask centers, one shared grid."""
+    """Profiles over strictly increasing mask centers, on one shared grid."""
 
     entries: tuple[SweepEntry, ...]
-
-    def __post_init__(self) -> None:
-        centers = [e.mask_center for e in self.entries]
-        if any(b <= a for a, b in zip(centers, centers[1:])):
-            raise DomainError("mask centers must be strictly increasing")
-        grids = {(e.profile.x0, e.profile.dx, e.profile.n) for e in self.entries}
-        if len(grids) > 1:
-            raise DomainError("sweep profiles must share one grid")
 
     @property
     def labels(self) -> list[str]:
@@ -72,12 +64,16 @@ def run_sweep(
 ) -> SweepResult:
     """Simulate the beamline at every mask center, in order.
 
-    The field at the mask does not depend on the mask position, so it is
-    propagated once and shared by every center.
+    The centers must strictly increase.  The field at the mask does not
+    depend on the mask position, so it is propagated once and shared by
+    every center.
     """
+    centers = [float(c) for c in centers]
+    if any(b <= a for a, b in zip(centers, centers[1:])):
+        raise DomainError("mask centers must be strictly increasing")
     at_mask = field_at_mask(layout, beam, grid)
     entries = []
-    for c in map(float, centers):
+    for c in centers:
         profile = simulate_beamline(layout, beam, c, grid, at_mask=at_mask)
         fr = open_fraction(layout.doubleslit, make_mask(layout.mask_opening_width, c))
         entries.append(

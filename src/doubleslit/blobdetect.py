@@ -33,17 +33,8 @@ class BlobDescriptor:
 class BuildUpImage:
     """Accumulated blob canvas standing in for the long-exposure pattern."""
 
-    width: int
-    height: int
     canvas: np.ndarray
     n_events: int
-
-    def __post_init__(self) -> None:
-        if self.canvas.shape != (self.height, self.width):
-            raise DomainError(
-                f"canvas shape {self.canvas.shape} does not match "
-                f"{self.height} x {self.width}"
-            )
 
 
 @dataclass(frozen=True)
@@ -55,9 +46,7 @@ class BuildUpResult:
     skipped: int
 
 
-def geometric_scales(
-    t_min: float = 2.0, t_max: float = 30.0, ratio: float = 1.3
-) -> tuple[float, ...]:
+def geometric_scales(t_min: float, t_max: float, ratio: float) -> tuple[float, ...]:
     """Scale ladder t_min * ratio^k, stopping at t_max."""
     if not 0 < t_min <= t_max or not ratio > 1:
         raise DomainError("scale ladder needs 0 < t_min <= t_max and ratio > 1")
@@ -242,10 +231,8 @@ def accumulate_buildup(
         canvas += gy[:, None] * gx[None, :] / (2 * np.pi * t)
         n += 1
         if n in marks:
-            snapshots[n] = BuildUpImage(
-                width=width, height=height, canvas=canvas.copy(), n_events=n
-            )
-    image = BuildUpImage(width=width, height=height, canvas=canvas, n_events=n)
+            snapshots[n] = BuildUpImage(canvas=canvas.copy(), n_events=n)
+    image = BuildUpImage(canvas=canvas, n_events=n)
     return BuildUpResult(image=image, snapshots=snapshots, skipped=skipped)
 
 

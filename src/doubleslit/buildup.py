@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis, blobdetect, propagation, sampler
 from .blobdetect import BlobDescriptor, BuildUpResult
 from .config import RunConfig
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .propagation import IntensityProfile
 from .sampler import DetectionEvent
 
@@ -33,7 +33,6 @@ class BuildUpRun:
     are the deterministic summary values, in output order.
     """
 
-    source: IntensityProfile
     events: list[DetectionEvent]
     rows: list[tuple[int, float, BlobDescriptor]]
     result: BuildUpResult
@@ -73,6 +72,8 @@ def _frame_ranges(n: int, jobs: int) -> list[range]:
 
 def run_buildup(config: RunConfig) -> BuildUpRun:
     """Sample events, render one frame per event, detect, accumulate."""
+    if config.n_events < 1:
+        raise ConfigError(f"buildup needs sampler.n_events >= 1, got {config.n_events}")
     # The analyzed pattern is the central five interference orders; events
     # are drawn from the both-open distribution restricted to that window.
     full = propagation.simulate_beamline(config.layout(), config.beam(), 0.0, config.grid())
@@ -84,9 +85,7 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
         config.n_events,
         config.seed,
     )
-    scales = blobdetect.geometric_scales(
-        config.blob_t_min, config.blob_t_max, config.blob_ratio
-    )
+    scales = config.blob_scales()
 
     def detect_frames(indices: range) -> list:
         # One frame per event: frame i spans [t_i, t_{i+1}); the last frame
@@ -140,4 +139,4 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
         "ks_events": ks_events,
         "ks_final": ks_final,
     }
-    return BuildUpRun(source=source, events=events, rows=rows, result=result, metrics=metrics)
+    return BuildUpRun(events=events, rows=rows, result=result, metrics=metrics)

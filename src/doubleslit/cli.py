@@ -82,6 +82,8 @@ def _derived(config: RunConfig) -> dict:
 
 
 def _out_dir(args, config: RunConfig) -> Path:
+    """The output directory, created on the spot: call it just before the
+    first write, so that a run that fails earlier leaves nothing behind."""
     out = Path(args.out) if args.out else Path(config.output_directory)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -104,12 +106,12 @@ def _profile_image(profile: IntensityProfile, config: RunConfig) -> np.ndarray:
 
 def cmd_pattern(args) -> int:
     config = load_config(args.config, args.seed)
-    out = _out_dir(args, config)
     if args.mask_center.strip().lower() == "none":
         center = None
     else:
         center = parse_length(args.mask_center, "--mask-center")
     profile = simulate_beamline(config.layout(), config.beam(), center, config.grid())
+    out = _out_dir(args, config)
     _write_profile_csv(out / "pattern.csv", profile)
     extras = _derived(config)
     extras["pattern.mask_center_m"] = "none" if center is None else float(center)
@@ -122,15 +124,15 @@ def cmd_pattern(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config, args.seed)
-    out = _out_dir(args, config)
     lo = parse_length(args.start, "--from")
     hi = parse_length(args.stop, "--to")
     if args.steps < 2:
         raise ConfigError(f"--steps must be at least 2, got {args.steps}")
-    if lo == hi:
-        raise ConfigError("--from and --to must differ (centers must be monotone)")
+    if not lo < hi:
+        raise ConfigError(f"--from ({args.start}) must be below --to ({args.stop})")
     centers = np.linspace(lo, hi, args.steps)
     result = run_sweep(config.layout(), config.beam(), centers, config.grid())
+    out = _out_dir(args, config)
     # SweepResult holds one grid for all profiles.
     xs = _x_column(result.entries[0].profile)
     with open(out / "manifest.csv", "w", newline="") as fh:
@@ -153,8 +155,8 @@ def cmd_buildup(args) -> int:
     if args.checkpoints:
         marks = parse_override("buildup.checkpoints", args.checkpoints, "--checkpoints")
         config = dataclasses.replace(config, checkpoints=marks)
-    out = _out_dir(args, config)
     run = run_buildup(config)
+    out = _out_dir(args, config)
     sampler.write_events_csv(run.events, out / "events.csv")
     blobdetect.write_blobs_csv(run.rows, out / "blobs.csv")
     for count in sorted(run.result.snapshots):
@@ -180,16 +182,13 @@ def cmd_buildup(args) -> int:
 
 def cmd_detect(args) -> int:
     config = load_config(args.config, args.seed)
-    out = _out_dir(args, config)
-    scales = blobdetect.geometric_scales(
-        config.blob_t_min, config.blob_t_max, config.blob_ratio
-    )
+    scales = config.blob_scales()
     total = 0
     for name in args.files:
         counts = read_pgm(name)
         blobs = blobdetect.detect_blobs(counts, scales, config.blob_threshold)
         rows = [(0, float("nan"), blob) for blob in blobs]
-        target = out / (Path(name).stem + "_blobs.csv")
+        target = _out_dir(args, config) / (Path(name).stem + "_blobs.csv")
         blobdetect.write_blobs_csv(rows, target)
         total += len(blobs)
         print(f"{name}: {len(blobs)} blobs -> {target}")

@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 
+from .blobdetect import geometric_scales
 from .core import BeamParameters
 from .errors import ConfigError
 from .geometry import ApertureSpec, BeamlineLayout, make_double_slit
@@ -83,7 +84,7 @@ class RunConfig:
     seed: int = _key("run.seed", "int", None, "nonnegative")
 
     def beam(self) -> BeamParameters:
-        return BeamParameters.from_energy(self.beam_energy)
+        return BeamParameters(self.beam_energy)
 
     def layout(self) -> BeamlineLayout:
         half = 0.5 * self.collimation_width
@@ -112,6 +113,9 @@ class RunConfig:
 
     def height_band(self) -> float:
         return self.slit_height * self.magnification
+
+    def blob_scales(self) -> tuple[float, ...]:
+        return geometric_scales(self.blob_t_min, self.blob_t_max, self.blob_ratio)
 
 
 # key -> the RunConfig field that declares it, in field order.

@@ -53,34 +53,20 @@ def mean_interelectron_distance(speed: float, detection_rate: float) -> float:
 class BeamParameters:
     """Kinematic description of the electron beam.
 
-    kinetic_energy is stored in eV; wavelength and speed in SI units.
-    The three fields must be mutually consistent under the nonrelativistic
-    de Broglie relation (checked to 1e-12 relative on construction).
+    Only the kinetic energy (eV) is stored; the wavelength (m) and speed
+    (m/s) follow from it under the nonrelativistic de Broglie relation.
     """
 
     kinetic_energy: float  # eV
-    wavelength: float      # m
-    speed: float           # m/s
 
     def __post_init__(self) -> None:
         if not self.kinetic_energy > 0:
             raise DomainError("kinetic_energy must be positive")
-        if not self.wavelength > 0:
-            raise DomainError("wavelength must be positive")
-        if not self.speed > 0:
-            raise DomainError("speed must be positive")
-        lam = de_broglie_wavelength(self.kinetic_energy)
-        v = electron_speed(self.kinetic_energy)
-        if abs(self.wavelength - lam) > 1e-12 * lam or abs(self.speed - v) > 1e-12 * v:
-            raise DomainError(
-                "wavelength/speed inconsistent with kinetic_energy under the "
-                "de Broglie relation"
-            )
 
-    @classmethod
-    def from_energy(cls, kinetic_energy_ev: float) -> "BeamParameters":
-        return cls(
-            kinetic_energy=kinetic_energy_ev,
-            wavelength=de_broglie_wavelength(kinetic_energy_ev),
-            speed=electron_speed(kinetic_energy_ev),
-        )
+    @property
+    def wavelength(self) -> float:
+        return de_broglie_wavelength(self.kinetic_energy)
+
+    @property
+    def speed(self) -> float:
+        return electron_speed(self.kinetic_energy)

@@ -62,22 +62,8 @@ class DetectionEvent:
 class Frame:
     """Synthetic camera frame with saturating 16-bit counts."""
 
-    width: int
-    height: int
-    pitch: float
     counts: np.ndarray
     exposure: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if self.counts.shape != (self.height, self.width):
-            raise DomainError(
-                f"counts shape {self.counts.shape} does not match "
-                f"{self.height} x {self.width}"
-            )
-        if self.counts.dtype != np.uint16:
-            raise DomainError("frame counts must be 16-bit unsigned")
-        if not self.exposure[0] < self.exposure[1]:
-            raise DomainError(f"empty exposure window {self.exposure}")
 
 
 def profile_cdf(profile: IntensityProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -97,47 +83,41 @@ def profile_cdf(profile: IntensityProfile) -> tuple[np.ndarray, np.ndarray]:
     return edges, cdf
 
 
-def sample_positions(
-    profile: IntensityProfile, n_events: int, seed: int, start: int = 0
-) -> np.ndarray:
+def sample_positions(profile: IntensityProfile, n_events: int, seed: int) -> np.ndarray:
     """Draw detection positions from a normalized profile by inverse CDF.
 
     Within each grid cell the density is taken as constant, so the inverse
-    CDF is piecewise linear.  `start` selects the global draw index of the
-    first event, allowing disjoint ranges to be produced independently.
+    CDF is piecewise linear.
     """
     edges, cdf = profile_cdf(profile)
     if n_events < 0:
         raise DomainError(f"event count must be nonnegative, got {n_events}")
-    u = _uniforms(seed, STREAM_POSITION, start, n_events)
+    u = _uniforms(seed, STREAM_POSITION, 0, n_events)
     idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, profile.n - 1)
     width = cdf[idx + 1] - cdf[idx]
     frac = np.where(width > 0, (u - cdf[idx]) / np.where(width > 0, width, 1.0), 0.0)
     return edges[idx] + frac * profile.dx
 
 
-def sample_arrival_times(
-    rate: float, n_events: int, seed: int, start: int = 0
-) -> np.ndarray:
+def sample_arrival_times(rate: float, n_events: int, seed: int) -> np.ndarray:
     """Cumulative arrival times of a Poisson process with the given rate.
 
-    Gaps are -log(1 - u) / rate; with `start` > 0 the returned times are
-    offsets from the arrival just before the range (caller adds it back).
+    Gaps are -log(1 - u) / rate.
     """
     if not rate > 0:
         raise DomainError(f"detection rate must be positive, got {rate}")
     if n_events < 0:
         raise DomainError(f"event count must be nonnegative, got {n_events}")
-    u = _uniforms(seed, STREAM_GAP, start, n_events)
+    u = _uniforms(seed, STREAM_GAP, 0, n_events)
     gaps = -np.log1p(-u) / rate
     return np.cumsum(gaps)
 
 
-def sample_heights(band: float, n_events: int, seed: int, start: int = 0) -> np.ndarray:
+def sample_heights(band: float, n_events: int, seed: int) -> np.ndarray:
     """Vertical positions, uniform over the magnified slit-height band."""
     if not band > 0:
         raise DomainError(f"height band must be positive, got {band}")
-    u = _uniforms(seed, STREAM_HEIGHT, start, n_events)
+    u = _uniforms(seed, STREAM_HEIGHT, 0, n_events)
     return (u - 0.5) * band
 
 
@@ -161,10 +141,11 @@ def render_frame(
     background_rate: float,
     seed: int,
     frame_index: int = 0,
-    width: int = 416,
-    height: int = 32,
-    pitch: float = 12e-6,
-    amplitude: float = 1000.0,
+    *,
+    width: int,
+    height: int,
+    pitch: float,
+    amplitude: float,
 ) -> Frame:
     """Expose one camera frame over the time window [t0, t1).
 
@@ -195,7 +176,7 @@ def render_frame(
         rng = _chunk_generator(seed, STREAM_BACKGROUND, frame_index)
         canvas += rng.poisson(background_rate, size=(height, width))
     counts = np.minimum(np.rint(canvas), 65535.0).astype(np.uint16)
-    return Frame(width=width, height=height, pitch=pitch, counts=counts, exposure=(t0, t1))
+    return Frame(counts=counts, exposure=(t0, t1))
 
 
 def write_events_csv(events: list[DetectionEvent], path: str | Path) -> None:

@@ -128,7 +128,7 @@ def test_interference_requires_shared_grid():
 def test_interference_term_integrates_to_zero_on_beamline():
     from dataclasses import replace
 
-    beam = BeamParameters.from_energy(600.0)
+    beam = BeamParameters(600.0)
     slits = make_double_slit(50e-9, 280e-9)
     col = ApertureSpec(((-1e-6, 1e-6),))
     layout = BeamlineLayout(0.305, 230e-6, 0.5, 10.0, col, slits, 5e-6)
@@ -161,7 +161,7 @@ def test_highest_unblocked_order_formula():
 
 @pytest.fixture(scope="module")
 def small_sweep_setup():
-    beam = BeamParameters.from_energy(600.0)
+    beam = BeamParameters(600.0)
     slits = make_double_slit(50e-9, 280e-9)
     col = ApertureSpec(((-1e-6, 1e-6),))
     layout = BeamlineLayout(0.305, 230e-6, 0.5, 10.0, col, slits, 5e-6)
@@ -178,6 +178,19 @@ def test_sweep_labels_and_orderings(small_sweep_setup):
     assert result.labels == ["blocked", "slit1", "both", "slit2", "blocked"]
     with pytest.raises(DomainError):
         run_sweep(layout, beam, [0.0, 0.0], grid)
+
+
+def test_sweep_refuses_unordered_centers_before_propagating(small_sweep_setup, monkeypatch):
+    import doubleslit.analysis
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("field_at_mask called")
+
+    monkeypatch.setattr(doubleslit.analysis, "field_at_mask", no_field)
+    layout, beam, grid = small_sweep_setup
+    for centers in ([2.8e-6, -2.8e-6], [0.0, 1e-6, 1e-6], [-1e-6, 1e-6, 0.0]):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            run_sweep(layout, beam, centers, grid)
 
 
 def test_sweep_matches_fresh_beamline_loop(small_sweep_setup):

@@ -133,6 +133,21 @@ def test_sweep_rejects_degenerate_ranges(tmp_path, mini_config, capsys):
                "--from", "1 um", "--to", "1 um", "--steps", "3") == 2
 
 
+def test_sweep_rejects_descending_range(tmp_path, mini_config, capsys, monkeypatch):
+    # Refused before any propagation, with both options named.
+    import doubleslit.cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_sweep called")
+
+    monkeypatch.setattr(doubleslit.cli, "run_sweep", no_sweep)
+    out = tmp_path / "down"
+    assert run("sweep", "--config", mini_config, "--out", str(out),
+               "--from", "2.8 um", "--to", "-2.8 um", "--steps", "5") == 2
+    err = capsys.readouterr().err
+    assert "--from" in err and "--to" in err
+
+
 def test_buildup_outputs(tmp_path, mini_config):
     out = tmp_path / "run"
     assert run("buildup", "--config", mini_config, "--out", str(out)) == 0
@@ -219,6 +234,43 @@ def test_missing_files_argument_is_usage_error(mini_config):
     with pytest.raises(SystemExit) as info:
         run("detect", "--config", mini_config)
     assert info.value.code == 2
+
+
+def test_buildup_rejects_zero_events(tmp_path, capsys, monkeypatch):
+    # sampler.n_events = 0 is a valid config (pattern and sweep ignore it),
+    # but buildup refuses it by name before any propagation.
+    import doubleslit.buildup
+
+    def no_beamline(*args, **kwargs):
+        raise AssertionError("simulate_beamline called")
+
+    monkeypatch.setattr(doubleslit.buildup.propagation, "simulate_beamline", no_beamline)
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("sampler.n_events = 0\nrun.seed = 7\n")
+    out = tmp_path / "run"
+    assert run("buildup", "--config", str(cfg), "--out", str(out)) == 2
+    assert "sampler.n_events" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config,argv",
+    [
+        ("slits.width = -50 nm", ["pattern"]),
+        ("grid.n = 4096", ["pattern"]),  # the Nyquist guard
+        ("", ["pattern", "--mask-center", "1e999 um"]),
+        ("", ["sweep", "--from", "0", "--to", "1 um", "--steps", "1"]),
+        ("", ["sweep", "--from", "2.8 um", "--to", "-2.8 um", "--steps", "5"]),
+        ("", ["buildup", "--checkpoints", "0,5"]),
+        ("sampler.n_events = 0", ["buildup"]),
+        ("", ["detect", "missing.pgm"]),
+    ],
+)
+def test_failed_run_leaves_no_output_directory(tmp_path, config, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "\nrun.seed = 7\n")
+    out = tmp_path / "nested" / "out"
+    assert run(*argv, "--config", str(cfg), "--out", str(out)) in (2, 3)
+    assert not (tmp_path / "nested").exists()
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):

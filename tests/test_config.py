@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import pytest
 
+from doubleslit.blobdetect import geometric_scales
 from doubleslit.config import (
     ASSUMED_KEYS,
     RunConfig,
@@ -152,6 +153,9 @@ def test_derived_helpers():
     assert cfg.fringe_period() == pytest.approx(expect, rel=1e-12)
     assert cfg.envelope_scale() == pytest.approx(expect * 280 / 50, rel=1e-12)
     assert cfg.height_band() == pytest.approx(4e-5)
+    assert cfg.blob_scales() == geometric_scales(2.0, 30.0, 1.3)
+    tighter = from_text("blob.t_min = 3\nblob.t_max = 9\nblob.ratio = 2")
+    assert tighter.blob_scales() == (3.0, 6.0)
 
 
 def test_unreadable_config_path():

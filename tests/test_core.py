@@ -1,5 +1,6 @@
 """Beam kinematics: wavelength, speed, single-electron-regime distance."""
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -61,12 +62,12 @@ def test_nonpositive_rate_or_speed_rejected():
 
 
 def test_beam_parameters_consistency_enforced():
-    beam = BeamParameters.from_energy(600.0)
+    # Only the energy is stored, so wavelength and speed cannot disagree
+    # with it: both are derived on access.
+    assert [f.name for f in fields(BeamParameters)] == ["kinetic_energy"]
+    beam = BeamParameters(600.0)
     assert beam.wavelength == de_broglie_wavelength(600.0)
     assert beam.speed == electron_speed(600.0)
-    with pytest.raises(DomainError):
-        BeamParameters(kinetic_energy=600.0, wavelength=beam.wavelength * 1.01,
-                       speed=beam.speed)
-    with pytest.raises(DomainError):
-        BeamParameters(kinetic_energy=600.0, wavelength=beam.wavelength,
-                       speed=beam.speed * 0.99)
+    for energy in (0.0, -600.0, float("nan")):
+        with pytest.raises(DomainError):
+            BeamParameters(energy)

@@ -45,7 +45,7 @@ def structured_field(n=512, dx=1e-6, wavelength=500e-9):
 
 @pytest.fixture(scope="module")
 def experiment_setup():
-    beam = BeamParameters.from_energy(600.0)
+    beam = BeamParameters(600.0)
     slits = make_double_slit(50e-9, 280e-9)
     col = ApertureSpec(((-1e-6, 1e-6),))
     layout = BeamlineLayout(0.305, 230e-6, 0.5, 10.0, col, slits, 5e-6)

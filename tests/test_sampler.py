@@ -145,7 +145,7 @@ def test_render_places_spot_at_subpixel_position():
 def test_render_spot_mass_matches_gaussian_integral():
     ev = one_event(0.0)
     frame = render_frame([ev], (0.0, 1.0), 3.0, 0.0, SEED,
-                         width=65, height=33, amplitude=500.0)
+                         width=65, height=33, pitch=12e-6, amplitude=500.0)
     total = float(frame.counts.sum())
     expected = 500.0 * 2 * np.pi * 9.0
     assert total == pytest.approx(expected, rel=0.01)
@@ -155,9 +155,10 @@ def test_render_window_selects_events():
     pitch = 12e-6
     evs = [DetectionEvent(index=0, t=0.2, x=-5 * pitch, y=0.0),
            DetectionEvent(index=1, t=1.2, x=+5 * pitch, y=0.0)]
-    fr0 = render_frame(evs, (0.0, 1.0), 2.0, 0.0, SEED, width=33, height=11)
+    fr0 = render_frame(evs, (0.0, 1.0), 2.0, 0.0, SEED, width=33, height=11,
+                       pitch=pitch, amplitude=1000.0)
     fr1 = render_frame(evs, (1.0, 2.0), 2.0, 0.0, SEED, frame_index=0,
-                       width=33, height=11)
+                       width=33, height=11, pitch=pitch, amplitude=1000.0)
     # The spot has full-frame Gaussian support, so compare peak columns.
     assert np.unravel_index(np.argmax(fr0.counts), fr0.counts.shape)[1] == 11
     assert np.unravel_index(np.argmax(fr1.counts), fr1.counts.shape)[1] == 21
@@ -167,17 +168,17 @@ def test_render_window_selects_events():
 def test_render_saturates_at_16_bits():
     ev = one_event(0.0)
     frame = render_frame([ev], (0.0, 1.0), 2.0, 0.0, SEED,
-                         width=33, height=11, amplitude=1e7)
+                         width=33, height=11, pitch=12e-6, amplitude=1e7)
     assert frame.counts.max() == 65535
 
 
 def test_background_keyed_by_frame_index():
     frame_a = render_frame([], (0.0, 1.0), 2.0, 0.5, SEED, frame_index=0,
-                           width=64, height=16)
+                           width=64, height=16, pitch=12e-6, amplitude=1000.0)
     frame_a2 = render_frame([], (0.0, 1.0), 2.0, 0.5, SEED, frame_index=0,
-                            width=64, height=16)
+                            width=64, height=16, pitch=12e-6, amplitude=1000.0)
     frame_b = render_frame([], (0.0, 1.0), 2.0, 0.5, SEED, frame_index=1,
-                           width=64, height=16)
+                           width=64, height=16, pitch=12e-6, amplitude=1000.0)
     assert np.array_equal(frame_a.counts, frame_a2.counts)
     assert not np.array_equal(frame_a.counts, frame_b.counts)
     # Poisson(0.5) over 1024 pixels: mean count close to 512.
@@ -185,12 +186,13 @@ def test_background_keyed_by_frame_index():
 
 
 def test_render_rejects_bad_arguments():
+    camera = dict(width=416, height=32, pitch=12e-6, amplitude=1000.0)
     with pytest.raises(DomainError):
-        render_frame([], (1.0, 1.0), 2.0, 0.0, SEED)
+        render_frame([], (1.0, 1.0), 2.0, 0.0, SEED, **camera)
     with pytest.raises(DomainError):
-        render_frame([], (0.0, 1.0), -2.0, 0.0, SEED)
+        render_frame([], (0.0, 1.0), -2.0, 0.0, SEED, **camera)
     with pytest.raises(DomainError):
-        render_frame([], (0.0, 1.0), 2.0, -0.1, SEED)
+        render_frame([], (0.0, 1.0), 2.0, -0.1, SEED, **camera)
 
 
 # --- CSV round trip ----------------------------------------------------------
