@@ -1,10 +1,12 @@
-"""One-electron-at-a-time build-up: events, frames, blobs, accumulated image.
+"""Frame pipelines: the one-electron-at-a-time build-up, and blob
+detection on existing frame files.
 
-Frames are independent: frame i holds event i alone and its background
-noise is keyed by i (see `sampler`).  The frame loop therefore runs as
-contiguous index ranges on one thread per available CPU, the calling
-thread taking the first range, and joining the ranges in frame order
-reproduces the sequential output bit for bit.
+Frames are independent: in a build-up, frame i holds event i alone and its
+background noise is keyed by i (see `sampler`); a frame file is read and
+searched on its own.  Both frame loops therefore run as contiguous index
+ranges on one thread per available CPU (`_run_ranges`), the calling thread
+taking the first range, and joining the ranges in frame order reproduces
+the sequential output bit for bit.
 
 The library calls go through their module attributes so that a tracer
 that swaps module attributes sees every call.
@@ -14,10 +16,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
-from . import analysis, blobdetect, propagation, sampler
+from . import analysis, blobdetect, pgm, propagation, sampler
 from .blobdetect import BlobDescriptor, BuildUpResult
 from .config import RunConfig
 from .errors import ConfigError, DomainError
@@ -70,6 +74,23 @@ def _frame_ranges(n: int, jobs: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
+def _run_ranges(n: int, work: Callable[[range], list]) -> list:
+    """Concatenate work(r) over contiguous ranges r of range(n), in order.
+
+    The ranges run on one thread per CPU, the calling thread taking the
+    first.  Results are joined in range order, so when several ranges
+    raise, the exception of the earliest one propagates.
+    """
+    ranges = _frame_ranges(n, _worker_count())
+    if len(ranges) > 1:
+        with ThreadPoolExecutor(len(ranges) - 1) as pool:
+            rest = [pool.submit(work, r) for r in ranges[1:]]
+            parts = [work(ranges[0])] + [f.result() for f in rest]
+    else:
+        parts = [work(r) for r in ranges]
+    return [item for part in parts for item in part]
+
+
 def run_buildup(config: RunConfig) -> BuildUpRun:
     """Sample events, render one frame per event, detect, accumulate."""
     if config.n_events < 1:
@@ -114,14 +135,7 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
             rows.extend((i, event.t, blob) for blob in blobs)
         return rows
 
-    ranges = _frame_ranges(len(events), _worker_count())
-    if len(ranges) > 1:
-        with ThreadPoolExecutor(len(ranges) - 1) as pool:
-            rest = [pool.submit(detect_frames, r) for r in ranges[1:]]
-            parts = [detect_frames(ranges[0])] + [f.result() for f in rest]
-    else:
-        parts = [detect_frames(r) for r in ranges]
-    rows = [row for part in parts for row in part]
+    rows = _run_ranges(len(events), detect_frames)
     blobs = [blob for _, _, blob in rows]
 
     result = blobdetect.accumulate_buildup(
@@ -140,3 +154,23 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
         "ks_final": ks_final,
     }
     return BuildUpRun(events=events, rows=rows, result=result, metrics=metrics)
+
+
+def run_detect(
+    paths: Sequence[str | Path], config: RunConfig
+) -> list[list[BlobDescriptor]]:
+    """Read each frame file and detect its blobs; one list per path, in order.
+
+    Each worker reads its own frames, so only one frame per thread is held
+    at a time.  A bad file raises the `FrameFileError` of the first bad
+    path in input order, and nothing is returned.
+    """
+    scales = config.blob_scales()
+
+    def detect_files(indices: range) -> list:
+        return [
+            blobdetect.detect_blobs(pgm.read_pgm(paths[i]), scales, config.blob_threshold)
+            for i in indices
+        ]
+
+    return _run_ranges(len(paths), detect_files)

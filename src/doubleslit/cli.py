@@ -19,7 +19,7 @@ import numpy as np
 
 from . import blobdetect, sampler
 from .analysis import run_sweep
-from .buildup import run_buildup
+from .buildup import run_buildup, run_detect
 from .config import (
     ASSUMED_KEYS,
     RunConfig,
@@ -30,7 +30,7 @@ from .config import (
 )
 from .core import mean_interelectron_distance
 from .errors import ConfigError, DomainError, FrameFileError, GridConfigError
-from .pgm import MAXVAL, read_pgm, write_pgm
+from .pgm import MAXVAL, write_pgm
 from .propagation import IntensityProfile, simulate_beamline
 
 
@@ -182,16 +182,20 @@ def cmd_buildup(args) -> int:
 
 def cmd_detect(args) -> int:
     config = load_config(args.config, args.seed)
-    scales = config.blob_scales()
-    total = 0
-    for name in args.files:
-        counts = read_pgm(name)
-        blobs = blobdetect.detect_blobs(counts, scales, config.blob_threshold)
+    # Every output lands in one directory, named after its input's stem.
+    targets = [Path(name).stem + "_blobs.csv" for name in args.files]
+    first = {}
+    for name, target in zip(args.files, targets):
+        if target in first:
+            raise ConfigError(f"{first[target]} and {name} would both write {target}")
+        first[target] = name
+    found = run_detect(args.files, config)
+    out = _out_dir(args, config)
+    for name, target, blobs in zip(args.files, targets, found):
         rows = [(0, float("nan"), blob) for blob in blobs]
-        target = _out_dir(args, config) / (Path(name).stem + "_blobs.csv")
-        blobdetect.write_blobs_csv(rows, target)
-        total += len(blobs)
-        print(f"{name}: {len(blobs)} blobs -> {target}")
+        blobdetect.write_blobs_csv(rows, out / target)
+        print(f"{name}: {len(blobs)} blobs -> {out / target}")
+    total = sum(map(len, found))
     print(f"total: {total} blobs in {len(args.files)} frames")
     return 0
 

@@ -1,4 +1,4 @@
-"""The build-up pipeline: parallel frame ranges reproduce a sequential loop."""
+"""The frame pipelines: parallel frame ranges reproduce a sequential loop."""
 import dataclasses
 
 import numpy as np
@@ -6,8 +6,9 @@ import pytest
 
 from doubleslit import buildup
 from doubleslit.blobdetect import accumulate_buildup, detect_blobs, geometric_scales
-from doubleslit.buildup import _frame_ranges, restrict_profile, run_buildup
+from doubleslit.buildup import _frame_ranges, restrict_profile, run_buildup, run_detect
 from doubleslit.config import load_config
+from doubleslit.pgm import read_pgm, write_pgm
 from doubleslit.propagation import simulate_beamline
 from doubleslit.sampler import make_events, render_frame
 
@@ -75,6 +76,48 @@ def test_run_buildup_matches_sequential_loop(mini, monkeypatch, jobs, n_events):
         assert run.result.snapshots[count].canvas.tobytes() == image.canvas.tobytes()
     assert run.metrics["n_events"] == n_events
     assert run.metrics["n_blobs"] == len(rows)
+
+
+def spot_frame(spots, shape=(32, 64)):
+    y, x = np.mgrid[0 : shape[0], 0 : shape[1]]
+    img = np.full(shape, 20.0)
+    for cx, cy, sigma in spots:
+        img += 1000.0 * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * sigma**2))
+    return np.rint(img).astype(np.uint16)
+
+
+@pytest.fixture(scope="module")
+def frame_files(tmp_path_factory):
+    """Seven frame files; the fourth holds no spot."""
+    folder = tmp_path_factory.mktemp("frames")
+    spots = [
+        [(20, 16, 3.0), (45, 10, 2.5)],
+        [(32, 16, 3.0)],
+        [(8, 8, 2.0), (30, 20, 4.0), (55, 12, 3.0)],
+        [],
+        [(50, 22, 2.5)],
+        [(12, 24, 3.5), (40, 8, 2.0)],
+        [(33, 15, 3.0)],
+    ]
+    paths = []
+    for k, frame_spots in enumerate(spots):
+        path = folder / f"f{k}.pgm"
+        write_pgm(path, spot_frame(frame_spots))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("count", [7, 1])
+def test_run_detect_matches_sequential_loop(mini, frame_files, monkeypatch, jobs, count):
+    paths = frame_files[:count]
+    monkeypatch.setattr(buildup, "_worker_count", lambda: jobs)
+    scales = geometric_scales(mini.blob_t_min, mini.blob_t_max, mini.blob_ratio)
+    expected = [detect_blobs(read_pgm(p), scales, mini.blob_threshold) for p in paths]
+    assert run_detect(paths, mini) == expected
+    if count > 3:
+        assert expected[3] == []
+        assert all(expected[k] for k in range(count) if k != 3)
 
 
 @pytest.mark.parametrize("n,jobs", [(0, 2), (1, 4), (31, 2), (31, 3), (30, 2), (5, 8)])

@@ -230,6 +230,64 @@ def test_detect_bad_frame_exits_3(tmp_path, mini_config, capsys):
     assert "short.pgm" in capsys.readouterr().err
 
 
+def test_detect_refuses_colliding_output_names(tmp_path, mini_config, capsys, monkeypatch):
+    # a/f.pgm and b/f.pgm would both write f_blobs.csv; refuse before reading.
+    import doubleslit.buildup
+
+    def no_read(path):
+        raise AssertionError("read_pgm called")
+
+    monkeypatch.setattr(doubleslit.buildup.pgm, "read_pgm", no_read)
+    paths = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        paths.append(tmp_path / folder / "f.pgm")
+        write_pgm(paths[-1], spot_image((32, 32), [(16, 16, 3.0)]))
+    out = tmp_path / "det"
+    assert run("detect", "--config", mini_config, "--out", str(out),
+               str(paths[0]), str(tmp_path / "c.pgm"), str(paths[1])) == 2
+    err = capsys.readouterr().err
+    assert str(paths[0]) in err and str(paths[1]) in err
+    assert "f_blobs.csv" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_detect_bad_later_frame_writes_nothing(tmp_path, mini_config, capsys, monkeypatch, jobs):
+    import doubleslit.buildup
+
+    monkeypatch.setattr(doubleslit.buildup, "_worker_count", lambda: jobs)
+    good = tmp_path / "good.pgm"
+    write_pgm(good, spot_image((32, 32), [(16, 16, 3.0)]))
+    out = tmp_path / "nested" / "out"
+    assert run("detect", "--config", mini_config, "--out", str(out),
+               str(good), str(tmp_path / "missing.pgm")) == 3
+    assert "missing.pgm" in capsys.readouterr().err
+    assert not (tmp_path / "nested").exists()
+
+
+def test_detect_reports_first_bad_frame_in_input_order(tmp_path, mini_config, capsys, monkeypatch):
+    # At 2 workers the second range starts on its bad file while the calling
+    # thread still detects two good frames before reaching its own.
+    import doubleslit.buildup
+
+    monkeypatch.setattr(doubleslit.buildup, "_worker_count", lambda: 2)
+    image = spot_image((32, 32), [(16, 16, 3.0)])
+    names = ["g0", "g1", "early", "late", "g4", "g5"]
+    for name in names:
+        write_pgm(tmp_path / f"{name}.pgm", image)
+    for name in ("early", "late"):
+        path = tmp_path / f"{name}.pgm"
+        path.write_bytes(path.read_bytes()[:-100])
+    out = tmp_path / "det"
+    argv = [str(tmp_path / f"{name}.pgm") for name in names]
+    assert run("detect", "--config", mini_config, "--out", str(out), *argv) == 3
+    err = capsys.readouterr().err
+    assert "early.pgm" in err
+    assert "late.pgm" not in err
+    assert not out.exists()
+
+
 def test_missing_files_argument_is_usage_error(mini_config):
     with pytest.raises(SystemExit) as info:
         run("detect", "--config", mini_config)
