@@ -1,8 +1,9 @@
 """Electron double-slit diffraction simulator.
 
-Scalar wave propagation through a collimation slit, double slit and
-movable blocking mask; detection-event sampling; synthetic camera frames;
-scale-space blob detection; build-up image accumulation.
+Scalar wave propagation of a coherent plane wave from the double slit
+through a movable blocking mask to the detector; detection-event
+sampling; synthetic camera frames; scale-space blob detection; build-up
+image accumulation.
 """
 from .analysis import (
     NoPeriodicityError,

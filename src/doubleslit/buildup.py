@@ -74,21 +74,38 @@ def _frame_ranges(n: int, jobs: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
-def _run_ranges(n: int, work: Callable[[range], list]) -> list:
-    """Concatenate work(r) over contiguous ranges r of range(n), in order.
+def _run_ranges(n: int, item: Callable[[int], object]) -> list:
+    """[item(i) for i in range(n)], over contiguous ranges of range(n).
 
     The ranges run on one thread per CPU, the calling thread taking the
     first.  Results are joined in range order, so when several ranges
-    raise, the exception of the earliest one propagates.
+    raise, the exception of the earliest one propagates.  Once a range has
+    raised, every later range stops at its next item, since its result is
+    discarded; earlier ranges run on, as one of them may raise first.
     """
     ranges = _frame_ranges(n, _worker_count())
+    stop = [False] * len(ranges)
+
+    def work(k: int) -> list:
+        out = []
+        for i in ranges[k]:
+            if stop[k]:
+                break
+            try:
+                out.append(item(i))
+            except BaseException:
+                for later in range(k + 1, len(ranges)):
+                    stop[later] = True
+                raise
+        return out
+
     if len(ranges) > 1:
         with ThreadPoolExecutor(len(ranges) - 1) as pool:
-            rest = [pool.submit(work, r) for r in ranges[1:]]
-            parts = [work(ranges[0])] + [f.result() for f in rest]
+            rest = [pool.submit(work, k) for k in range(1, len(ranges))]
+            parts = [work(0)] + [f.result() for f in rest]
     else:
-        parts = [work(r) for r in ranges]
-    return [item for part in parts for item in part]
+        parts = [work(k) for k in range(len(ranges))]
+    return [result for part in parts for result in part]
 
 
 def run_buildup(config: RunConfig) -> BuildUpRun:
@@ -108,34 +125,35 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
     )
     scales = config.blob_scales()
 
-    def detect_frames(indices: range) -> list:
+    def detect_frame(i: int) -> list[BlobDescriptor]:
         # One frame per event: frame i spans [t_i, t_{i+1}); the last frame
         # gets one mean inter-arrival period.  Events are time-ordered, so
         # the slice events[i:i+1] is exactly the in-window subset.
-        rows = []
-        for i in indices:
-            event = events[i]
-            if i + 1 < len(events):
-                window = (event.t, events[i + 1].t)
-            else:
-                window = (event.t, event.t + 1.0 / config.pattern_rate)
-            frame = sampler.render_frame(
-                events[i : i + 1],
-                window,
-                config.psf_sigma,
-                config.background,
-                config.seed,
-                frame_index=i,
-                width=config.frame_width,
-                height=config.frame_height,
-                pitch=config.frame_pitch,
-                amplitude=config.amplitude,
-            )
-            blobs = blobdetect.detect_blobs(frame.counts, scales, config.blob_threshold)
-            rows.extend((i, event.t, blob) for blob in blobs)
-        return rows
+        event = events[i]
+        if i + 1 < len(events):
+            window = (event.t, events[i + 1].t)
+        else:
+            window = (event.t, event.t + 1.0 / config.pattern_rate)
+        frame = sampler.render_frame(
+            events[i : i + 1],
+            window,
+            config.psf_sigma,
+            config.background,
+            config.seed,
+            frame_index=i,
+            width=config.frame_width,
+            height=config.frame_height,
+            pitch=config.frame_pitch,
+            amplitude=config.amplitude,
+        )
+        return blobdetect.detect_blobs(frame.counts, scales, config.blob_threshold)
 
-    rows = _run_ranges(len(events), detect_frames)
+    per_frame = _run_ranges(len(events), detect_frame)
+    rows = [
+        (i, event.t, blob)
+        for i, (event, blobs) in enumerate(zip(events, per_frame))
+        for blob in blobs
+    ]
     blobs = [blob for _, _, blob in rows]
 
     result = blobdetect.accumulate_buildup(
@@ -167,10 +185,7 @@ def run_detect(
     """
     scales = config.blob_scales()
 
-    def detect_files(indices: range) -> list:
-        return [
-            blobdetect.detect_blobs(pgm.read_pgm(paths[i]), scales, config.blob_threshold)
-            for i in indices
-        ]
+    def detect_file(i: int) -> list[BlobDescriptor]:
+        return blobdetect.detect_blobs(pgm.read_pgm(paths[i]), scales, config.blob_threshold)
 
-    return _run_ranges(len(paths), detect_files)
+    return _run_ranges(len(paths), detect_file)

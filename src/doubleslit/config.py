@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from .blobdetect import geometric_scales
 from .core import BeamParameters
 from .errors import ConfigError
-from .geometry import ApertureSpec, BeamlineLayout, make_double_slit
+from .geometry import BeamlineLayout, make_double_slit
 from .propagation import GridSpec
 
 LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "cm": 1e-2, "m": 1.0}
@@ -51,6 +51,8 @@ class RunConfig:
     slit_width: float = _key("slits.width", "length", "50 nm", "positive")
     slit_separation: float = _key("slits.separation", "length", "280 nm", "positive")
     slit_height: float = _key("slits.height", "length", "4 um", "positive")
+    # Echoed in .meta but not propagated: at the defaults the collimation slit
+    # lights the double slit coherently, so the model starts at the double slit.
     collimation_width: float = _key("collimation.width", "length", "2 um", "positive")
     collimation_distance: float = _key(
         "collimation.distance", "length", "30.5 cm", "positive"
@@ -87,13 +89,10 @@ class RunConfig:
         return BeamParameters(self.beam_energy)
 
     def layout(self) -> BeamlineLayout:
-        half = 0.5 * self.collimation_width
         return BeamlineLayout(
-            z_collimation_to_doubleslit=self.collimation_distance,
             z_doubleslit_to_mask=self.mask_distance,
             z_mask_to_detector=self.detector_distance,
             magnification=self.magnification,
-            collimation=ApertureSpec(((-half, half),)),
             doubleslit=make_double_slit(self.slit_width, self.slit_separation),
             mask_opening_width=self.mask_opening_width,
         )

@@ -140,19 +140,16 @@ def sampled_transmission(aperture: ApertureSpec, x0: float, dx: float, n: int) -
 
 @dataclass(frozen=True)
 class BeamlineLayout:
-    """Distances, apertures and magnification of the full beamline."""
+    """Distances, apertures and magnification from the double slit to the detector."""
 
-    z_collimation_to_doubleslit: float
     z_doubleslit_to_mask: float
     z_mask_to_detector: float
     magnification: float
-    collimation: ApertureSpec
     doubleslit: ApertureSpec
     mask_opening_width: float
 
     def __post_init__(self) -> None:
         for name in (
-            "z_collimation_to_doubleslit",
             "z_doubleslit_to_mask",
             "z_mask_to_detector",
             "magnification",

@@ -66,8 +66,10 @@ def read_pgm(path: str | Path) -> np.ndarray:
     if w < 1 or h < 1:
         raise FrameFileError(f"{path}: invalid dimensions {w}x{h}")
     data = raw[pos:]
-    if len(data) < 2 * w * h:
-        raise FrameFileError(
-            f"{path}: truncated pixel data ({len(data)} of {2 * w * h} bytes)"
-        )
-    return np.frombuffer(data[: 2 * w * h], dtype=">u2").reshape(h, w).astype(np.uint16)
+    size = 2 * w * h
+    if len(data) < size:
+        raise FrameFileError(f"{path}: truncated pixel data ({len(data)} of {size} bytes)")
+    # A wrong-size frame or a second image would otherwise read as this one.
+    if len(data) > size:
+        raise FrameFileError(f"{path}: {len(data) - size} bytes after the {w}x{h} pixel data")
+    return np.frombuffer(data, dtype=">u2").reshape(h, w).astype(np.uint16)

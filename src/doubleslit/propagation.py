@@ -290,56 +290,22 @@ def _check_support(aperture: ApertureSpec, window: float, name: str) -> None:
         )
 
 
-def _collimation_illumination(
-    layout: BeamlineLayout, beam: BeamParameters, x0: float, dx: float, n: int
-) -> np.ndarray:
-    """Illumination at the double-slit plane from the collimation slit.
-
-    Plane wave through the collimation aperture, then a direct Fresnel
-    integral to the slit plane.  The integral is evaluated only where the
-    double-slit transmits; everywhere else the slit blocks the beam anyway.
-    """
-    col = layout.collimation
-    lo, hi = col.span()
-    m = 1
-    while m * dx < (hi - lo) + 4 * dx or m < 2:
-        m *= 2
-    src_x0 = 0.5 * (lo + hi) - (m - 1) / 2 * dx
-    src = WaveField(
-        x0=src_x0,
-        dx=dx,
-        wavelength=beam.wavelength,
-        amplitudes=sampled_transmission(col, src_x0, dx, m).astype(np.complex128),
-    )
-    slit_t = sampled_transmission(layout.doubleslit, x0, dx, n)
-    targets_idx = np.nonzero(slit_t > 0)[0]
-    illum = np.zeros(n, dtype=np.complex128)
-    illum[targets_idx] = direct_integral_reference(
-        src, layout.z_collimation_to_doubleslit, x0 + targets_idx * dx
-    )
-    return illum
-
-
 def field_at_mask(
     layout: BeamlineLayout,
     beam: BeamParameters,
     grid: GridSpec,
-    include_collimation: bool = False,
 ) -> WaveField:
     """Field arriving at the mask plane, before the mask.
 
-    Composition: illumination -> double slit -> spectral step over the
+    Composition: unit plane wave -> double slit -> spectral step over the
     slit/mask gap.  Nothing here depends on the mask position, so a sweep
     computes it once and passes it to every beamline pass as `at_mask`.
     """
     n, dx = grid.n, grid.dx
     x0 = symmetric_grid_origin(n, dx)
     _check_support(layout.doubleslit, grid.window, "double-slit")
-    if include_collimation:
-        illum = _collimation_illumination(layout, beam, x0, dx, n)
-    else:
-        illum = np.ones(n, dtype=np.complex128)
-    field = WaveField(x0=x0, dx=dx, wavelength=beam.wavelength, amplitudes=illum)
+    plane_wave = np.ones(n, dtype=np.complex128)
+    field = WaveField(x0=x0, dx=dx, wavelength=beam.wavelength, amplitudes=plane_wave)
     field = apply_aperture(field, layout.doubleslit)
     return angular_spectrum_step(field, layout.z_doubleslit_to_mask)
 
@@ -349,7 +315,6 @@ def simulate_detector_field(
     beam: BeamParameters,
     mask_center: float | None,
     grid: GridSpec,
-    include_collimation: bool = False,
     at_mask: WaveField | None = None,
 ) -> WaveField:
     """Field at the detector plane, after magnification.
@@ -362,13 +327,13 @@ def simulate_detector_field(
     little a centered mask disturbs the pattern.
 
     at_mask, when given, is the result of field_at_mask for the same
-    layout, beam, grid and include_collimation; it replaces that
-    computation, which is then skipped.  Only its grid (n, dx, x0) and
-    wavelength are checked: a field computed for another slit layout or
-    include_collimation is not detected and gives a wrong detector field.
+    layout, beam and grid; it replaces that computation, which is then
+    skipped.  Only its grid (n, dx, x0) and wavelength are checked: a field
+    computed for another slit layout is not detected and gives a wrong
+    detector field.
     """
     if at_mask is None:
-        field = field_at_mask(layout, beam, grid, include_collimation)
+        field = field_at_mask(layout, beam, grid)
     elif (at_mask.n, at_mask.dx, at_mask.x0, at_mask.wavelength) != (
         grid.n, grid.dx, symmetric_grid_origin(grid.n, grid.dx), beam.wavelength
     ):
@@ -389,7 +354,6 @@ def simulate_beamline(
     beam: BeamParameters,
     mask_center: float | None,
     grid: GridSpec,
-    include_collimation: bool = False,
     normalize: bool = True,
     at_mask: WaveField | None = None,
 ) -> IntensityProfile:
@@ -400,7 +364,5 @@ def simulate_beamline(
     amplitude, which is the right gauge for comparing flux across mask
     positions or slit subsets.  at_mask is as in simulate_detector_field.
     """
-    field = simulate_detector_field(
-        layout, beam, mask_center, grid, include_collimation, at_mask
-    )
+    field = simulate_detector_field(layout, beam, mask_center, grid, at_mask)
     return intensity_profile(field, normalize=normalize)

@@ -130,8 +130,7 @@ def test_interference_term_integrates_to_zero_on_beamline():
 
     beam = BeamParameters(600.0)
     slits = make_double_slit(50e-9, 280e-9)
-    col = ApertureSpec(((-1e-6, 1e-6),))
-    layout = BeamlineLayout(0.305, 230e-6, 0.5, 10.0, col, slits, 5e-6)
+    layout = BeamlineLayout(230e-6, 0.5, 10.0, slits, 5e-6)
     grid = GridSpec(window=64e-6, n=65536)
     one = ApertureSpec((slits.open_intervals[0],))
     two = ApertureSpec((slits.open_intervals[1],))
@@ -163,8 +162,7 @@ def test_highest_unblocked_order_formula():
 def small_sweep_setup():
     beam = BeamParameters(600.0)
     slits = make_double_slit(50e-9, 280e-9)
-    col = ApertureSpec(((-1e-6, 1e-6),))
-    layout = BeamlineLayout(0.305, 230e-6, 0.5, 10.0, col, slits, 5e-6)
+    layout = BeamlineLayout(230e-6, 0.5, 10.0, slits, 5e-6)
     # Same 0.98 nm pitch as the default grid (the band-limit rule needs
     # dx <= lambda / (2 * 0.015)), half the window for speed.
     grid = GridSpec(window=32e-6, n=32768)

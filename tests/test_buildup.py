@@ -1,13 +1,15 @@
 """The frame pipelines: parallel frame ranges reproduce a sequential loop."""
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
-from doubleslit import buildup
+from doubleslit import buildup, pgm
 from doubleslit.blobdetect import accumulate_buildup, detect_blobs, geometric_scales
 from doubleslit.buildup import _frame_ranges, restrict_profile, run_buildup, run_detect
 from doubleslit.config import load_config
+from doubleslit.errors import FrameFileError
 from doubleslit.pgm import read_pgm, write_pgm
 from doubleslit.propagation import simulate_beamline
 from doubleslit.sampler import make_events, render_frame
@@ -118,6 +120,27 @@ def test_run_detect_matches_sequential_loop(mini, frame_files, monkeypatch, jobs
     if count > 3:
         assert expected[3] == []
         assert all(expected[k] for k in range(count) if k != 3)
+
+
+def test_later_range_stops_after_earlier_range_raises(mini, frame_files, monkeypatch, tmp_path):
+    # At 2 workers the first range fails on its first file at once; the
+    # second range's result would be discarded, so it should stop reading.
+    paths = [str(tmp_path / "missing.pgm")] + (frame_files * 6)[:41]
+    second = len(_frame_ranges(len(paths), 2)[1])
+    real_read = pgm.read_pgm
+    reads = []
+
+    def slow_read(path):
+        reads.append(path)
+        image = real_read(path)
+        time.sleep(0.005)
+        return image
+
+    monkeypatch.setattr(buildup, "_worker_count", lambda: 2)
+    monkeypatch.setattr(pgm, "read_pgm", slow_read)
+    with pytest.raises(FrameFileError, match="missing.pgm"):
+        run_detect(paths, mini)
+    assert len(reads) - 1 < second // 4
 
 
 @pytest.mark.parametrize("n,jobs", [(0, 2), (1, 4), (31, 2), (31, 3), (30, 2), (5, 8)])

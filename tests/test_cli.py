@@ -230,6 +230,17 @@ def test_detect_bad_frame_exits_3(tmp_path, mini_config, capsys):
     assert "short.pgm" in capsys.readouterr().err
 
 
+def test_detect_rejects_trailing_bytes(tmp_path, mini_config, capsys):
+    frame = tmp_path / "long.pgm"
+    write_pgm(frame, spot_image((32, 32), [(16, 16, 3.0)]))
+    frame.write_bytes(frame.read_bytes() + b"\0\0")
+    out = tmp_path / "det"
+    assert run("detect", "--config", mini_config, "--out", str(out), str(frame)) == 3
+    err = capsys.readouterr().err
+    assert "long.pgm" in err and "2 bytes after" in err
+    assert not out.exists()
+
+
 def test_detect_refuses_colliding_output_names(tmp_path, mini_config, capsys, monkeypatch):
     # a/f.pgm and b/f.pgm would both write f_blobs.csv; refuse before reading.
     import doubleslit.buildup

@@ -115,10 +115,9 @@ def test_sampled_transmission_total_matches_open_length():
 
 def test_layout_validation():
     slits = make_double_slit(50 * NM, 280 * NM)
-    col = ApertureSpec(((-1e-6, 1e-6),))
-    layout = BeamlineLayout(0.305, 230e-6, 0.5, 10.0, col, slits, 5e-6)
+    layout = BeamlineLayout(230e-6, 0.5, 10.0, slits, 5e-6)
     assert layout.magnification == 10.0
     with pytest.raises(DomainError):
-        BeamlineLayout(0.305, -230e-6, 0.5, 10.0, col, slits, 5e-6)
+        BeamlineLayout(-230e-6, 0.5, 10.0, slits, 5e-6)
     with pytest.raises(DomainError):
-        BeamlineLayout(0.305, 230e-6, 0.5, 0.0, col, slits, 5e-6)
+        BeamlineLayout(230e-6, 0.5, 0.0, slits, 5e-6)

@@ -71,6 +71,15 @@ def test_truncated_files_raise_frame_file_error(frame_path, image, data):
 
 
 @PROPERTY
+@given(IMAGES, st.binary(min_size=1, max_size=40))
+def test_trailing_bytes_raise_frame_file_error(frame_path, image, tail):
+    write_pgm(frame_path, image)
+    frame_path.write_bytes(frame_path.read_bytes() + tail)
+    with pytest.raises(FrameFileError, match=f"{len(tail)} bytes after"):
+        read_pgm(frame_path)
+
+
+@PROPERTY
 @given(st.binary(max_size=200))
 def test_arbitrary_bytes_raise_only_frame_file_error(frame_path, raw):
     read_only_frame_file_error(frame_path, raw)

@@ -5,9 +5,12 @@ can be compared sample-by-sample.  Tolerances here are far below the
 acceptance thresholds because the agreement is at machine precision on
 well-sampled fields.
 """
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from doubleslit.config import load_config
 from doubleslit.core import BeamParameters
 from doubleslit.errors import DomainError, GridConfigError
 from doubleslit.geometry import ApertureSpec, BeamlineLayout, make_double_slit
@@ -47,8 +50,7 @@ def structured_field(n=512, dx=1e-6, wavelength=500e-9):
 def experiment_setup():
     beam = BeamParameters(600.0)
     slits = make_double_slit(50e-9, 280e-9)
-    col = ApertureSpec(((-1e-6, 1e-6),))
-    layout = BeamlineLayout(0.305, 230e-6, 0.5, 10.0, col, slits, 5e-6)
+    layout = BeamlineLayout(230e-6, 0.5, 10.0, slits, 5e-6)
     grid = GridSpec(window=64e-6, n=65536)
     return beam, layout, grid
 
@@ -270,18 +272,12 @@ def test_mask_outside_grid_window_blocks_everything(experiment_setup):
     assert (prof.x0, prof.dx, prof.n) == (ref.x0, ref.dx, ref.n)
 
 
-@pytest.mark.parametrize(
-    "mask_center,include_collimation",
-    [(None, False), (0.0, False), (-2.52e-6, False), (40e-6, False), (0.0, True)],
-)
-def test_at_mask_field_reproduces_full_pass(experiment_setup, mask_center,
-                                            include_collimation):
+@pytest.mark.parametrize("mask_center", [None, 0.0, -2.52e-6, 40e-6])
+def test_at_mask_field_reproduces_full_pass(experiment_setup, mask_center):
     beam, layout, grid = experiment_setup
-    at_mask = field_at_mask(layout, beam, grid, include_collimation)
-    full = simulate_detector_field(layout, beam, mask_center, grid,
-                                   include_collimation)
-    shared = simulate_detector_field(layout, beam, mask_center, grid,
-                                     include_collimation, at_mask=at_mask)
+    at_mask = field_at_mask(layout, beam, grid)
+    full = simulate_detector_field(layout, beam, mask_center, grid)
+    shared = simulate_detector_field(layout, beam, mask_center, grid, at_mask=at_mask)
     assert (shared.x0, shared.dx) == (full.x0, full.dx)
     assert np.array_equal(shared.amplitudes, full.amplitudes)
 
@@ -299,10 +295,17 @@ def test_at_mask_field_must_match_grid(experiment_setup):
         simulate_beamline(layout, beam, 0.0, grid, at_mask=shifted)
 
 
-def test_collimation_stage_preserves_fringe_structure(experiment_setup):
-    # The optional collimated illumination changes the envelope little and
-    # must keep the pattern mirror-symmetric.
-    beam, layout, grid = experiment_setup
-    prof = simulate_beamline(layout, beam, 0.0, grid, include_collimation=True)
-    assert rel_l2(prof.values[::-1], prof.values) < 1e-6
-    assert prof.values.sum() * prof.dx == pytest.approx(1.0, rel=1e-9)
+def test_default_p12_profile_converges_in_grid_size():
+    # Doubling grid.n at a fixed window halves dx at the slits but keeps the
+    # detector pitch lambda z / window, so the coarse detector grid is the
+    # centred half of the fine one.  The profile moves by ~1.0e-4 of its peak.
+    config = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "default.cfg"))
+    layout, beam = config.layout(), config.beam()
+    coarse = simulate_beamline(layout, beam, 0.0, config.grid())
+    fine_grid = GridSpec(window=config.grid_window, n=2 * config.grid_n)
+    fine = simulate_beamline(layout, beam, 0.0, fine_grid)
+    n = coarse.n
+    assert fine.dx == coarse.dx
+    assert np.allclose(fine.x[n // 2 : 3 * n // 2], coarse.x, rtol=0.0, atol=1e-15)
+    moved = np.abs(fine.values[n // 2 : 3 * n // 2] - coarse.values)
+    assert moved.max() < 2e-4 * coarse.values.max()
