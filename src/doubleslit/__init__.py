@@ -19,7 +19,6 @@ from .analysis import (
 )
 from .blobdetect import (
     BlobDescriptor,
-    BuildUpImage,
     BuildUpResult,
     accumulate_buildup,
     detect_blobs,

@@ -22,8 +22,9 @@ class NoPeriodicityError(DomainError):
     """Raised when a profile has too few principal maxima to carry a period."""
 
 
-def classify_fractions(f1: float, f2: float, tol: float = 1e-9) -> str:
+def classify_fractions(f1: float, f2: float) -> str:
     """Label a mask position from the per-slit clear fractions."""
+    tol = 1e-9
     open1, open2 = f1 >= 1 - tol, f2 >= 1 - tol
     shut1, shut2 = f1 <= tol, f2 <= tol
     if open1 and open2:

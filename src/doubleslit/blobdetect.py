@@ -30,19 +30,12 @@ class BlobDescriptor:
 
 
 @dataclass(frozen=True, eq=False)
-class BuildUpImage:
-    """Accumulated blob canvas standing in for the long-exposure pattern."""
+class BuildUpResult:
+    """Final canvas (the long-exposure stand-in), a copy of it at each
+    reached checkpoint count, and the out-of-canvas tally."""
 
     canvas: np.ndarray
-    n_events: int
-
-
-@dataclass(frozen=True)
-class BuildUpResult:
-    """Final canvas plus checkpoint snapshots and the out-of-canvas tally."""
-
-    image: BuildUpImage
-    snapshots: dict[int, BuildUpImage]
+    snapshots: dict[int, np.ndarray]
     skipped: int
 
 
@@ -218,7 +211,7 @@ def accumulate_buildup(
     canvas = np.zeros((height, width))
     cols = np.arange(width)
     rows = np.arange(height)
-    snapshots: dict[int, BuildUpImage] = {}
+    snapshots: dict[int, np.ndarray] = {}
     n = 0
     skipped = 0
     for blob in blobs:
@@ -231,9 +224,8 @@ def accumulate_buildup(
         canvas += gy[:, None] * gx[None, :] / (2 * np.pi * t)
         n += 1
         if n in marks:
-            snapshots[n] = BuildUpImage(canvas=canvas.copy(), n_events=n)
-    image = BuildUpImage(canvas=canvas, n_events=n)
-    return BuildUpResult(image=image, snapshots=snapshots, skipped=skipped)
+            snapshots[n] = canvas.copy()
+    return BuildUpResult(canvas=canvas, snapshots=snapshots, skipped=skipped)
 
 
 def write_blobs_csv(rows, path: str | Path) -> None:

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration problem, 3 I/O problem.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -20,16 +19,9 @@ import numpy as np
 from . import blobdetect, sampler
 from .analysis import run_sweep
 from .buildup import run_buildup, run_detect
-from .config import (
-    ASSUMED_KEYS,
-    RunConfig,
-    config_text,
-    load_config,
-    parse_length,
-    parse_override,
-)
+from .config import RunConfig, config_text, load_config, parse_length
 from .core import mean_interelectron_distance
-from .errors import ConfigError, DomainError, FrameFileError, GridConfigError
+from .errors import ConfigError, DomainError, GridConfigError
 from .pgm import MAXVAL, write_pgm
 from .propagation import IntensityProfile, simulate_beamline
 
@@ -55,16 +47,17 @@ def _write_profile_csv(
 
 
 def _write_meta(path: Path, config: RunConfig, extras: dict) -> None:
-    lines = ["# effective configuration", config_text(config).rstrip("\n")]
-    if ASSUMED_KEYS:
-        lines.append("# keys marked 'assumed' are free choices, not measured values")
-    if extras:
-        lines.append("# derived quantities")
-        for key, value in extras.items():
-            if isinstance(value, float):
-                lines.append(f"{key} = {value:.17g}")
-            else:
-                lines.append(f"{key} = {value}")
+    lines = [
+        "# effective configuration",
+        config_text(config).rstrip("\n"),
+        "# keys marked 'assumed' are free choices, not measured values",
+        "# derived quantities",
+    ]
+    for key, value in extras.items():
+        if isinstance(value, float):
+            lines.append(f"{key} = {value:.17g}")
+        else:
+            lines.append(f"{key} = {value}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -152,17 +145,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_buildup(args) -> int:
     config = load_config(args.config, args.seed)
-    if args.checkpoints:
-        marks = parse_override("buildup.checkpoints", args.checkpoints, "--checkpoints")
-        config = dataclasses.replace(config, checkpoints=marks)
     run = run_buildup(config)
     out = _out_dir(args, config)
     sampler.write_events_csv(run.events, out / "events.csv")
     blobdetect.write_blobs_csv(run.rows, out / "blobs.csv")
-    for count in sorted(run.result.snapshots):
-        image = run.result.snapshots[count]
-        write_pgm(out / f"buildup_{count:06d}.pgm", _to_pgm_scaled(image.canvas))
-    write_pgm(out / "buildup_final.pgm", _to_pgm_scaled(run.result.image.canvas))
+    for count, canvas in sorted(run.result.snapshots.items()):
+        write_pgm(out / f"buildup_{count:06d}.pgm", _to_pgm_scaled(canvas))
+    write_pgm(out / "buildup_final.pgm", _to_pgm_scaled(run.result.canvas))
     with open(out / "metrics.txt", "w") as fh:
         for key, value in run.metrics.items():
             if isinstance(value, float):
@@ -233,11 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("buildup", help="event sampling through blob detection")
     _add_common(p)
-    p.add_argument(
-        "--checkpoints",
-        default=None,
-        help="comma-separated snapshot counts (overrides config)",
-    )
     p.set_defaults(handler=cmd_buildup)
 
     p = commands.add_parser("detect", help="blob detection on existing frames")
@@ -255,9 +239,6 @@ def main(argv=None) -> int:
     except (ConfigError, GridConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FrameFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -183,17 +183,6 @@ def parse_length(text: str, name: str) -> float:
     return _parse_scalar(name, "length", text.strip(), "argument")
 
 
-def parse_override(key: str, text: str, name: str):
-    """Parse a command-line override of `key` with its kind and bound.
-
-    Errors name the option `name`, e.g. '--checkpoints'.
-    """
-    meta = _FIELDS[key].metadata
-    value = _parse_scalar(name, meta["kind"], text.strip(), "argument")
-    _check_bound(name, meta["bound"], value, "argument")
-    return value
-
-
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Raw key -> parsed value mapping; schema defaults are not applied."""
     values: dict = {}
@@ -239,6 +228,14 @@ def build_config(values: dict, source: str = "<config>") -> RunConfig:
         raise ConfigError(f"{source}: blob.t_min must not exceed blob.t_max")
     if not merged["blob.ratio"] > 1:
         raise ConfigError(f"{source}: blob.ratio must exceed 1")
+    # The third rung of geometric_scales' ladder, in the loop's arithmetic:
+    # the 3D extremum search needs at least three scales.
+    t_min, t_max, ratio = merged["blob.t_min"], merged["blob.t_max"], merged["blob.ratio"]
+    if not t_min * ratio * ratio <= t_max * (1 + 1e-12):
+        raise ConfigError(
+            f"{source}: blob.t_min, blob.t_max and blob.ratio give fewer than "
+            "3 scales; blob detection needs blob.t_min * blob.ratio^2 <= blob.t_max"
+        )
     return RunConfig(**{_FIELDS[k].name: v for k, v in merged.items()})
 
 
@@ -256,6 +253,7 @@ def load_config(path: str | None, seed: int | None = None) -> RunConfig:
         source = str(path)
         values = parse_config_text(text, source)
     if seed is not None:
+        _check_bound("--seed", _FIELDS["run.seed"].metadata["bound"], seed, "argument")
         values["run.seed"] = seed
     return build_config(values, source)
 

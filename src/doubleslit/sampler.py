@@ -63,7 +63,6 @@ class Frame:
     """Synthetic camera frame with saturating 16-bit counts."""
 
     counts: np.ndarray
-    exposure: tuple[float, float]
 
 
 def profile_cdf(profile: IntensityProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +175,7 @@ def render_frame(
         rng = _chunk_generator(seed, STREAM_BACKGROUND, frame_index)
         canvas += rng.poisson(background_rate, size=(height, width))
     counts = np.minimum(np.rint(canvas), 65535.0).astype(np.uint16)
-    return Frame(counts=counts, exposure=(t0, t1))
+    return Frame(counts=counts)
 
 
 def write_events_csv(events: list[DetectionEvent], path: str | Path) -> None:

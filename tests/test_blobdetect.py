@@ -142,15 +142,14 @@ def test_accumulate_buildup_snapshots():
     ]
     result = accumulate_buildup(blobs, width=64, height=16, checkpoints=(2, 7, 10))
     assert sorted(result.snapshots) == [2, 7, 10]
-    assert result.image.n_events == 10
     assert result.skipped == 0
     # Unit-integral stamps: canvas mass grows with the count (minus what
     # leaks off the canvas edges).
-    m2 = result.snapshots[2].canvas.sum()
-    m7 = result.snapshots[7].canvas.sum()
+    m2 = result.snapshots[2].sum()
+    m7 = result.snapshots[7].sum()
     assert m2 == pytest.approx(2.0, rel=0.15)
     assert m7 == pytest.approx(7.0, rel=0.15)
-    assert np.array_equal(result.snapshots[10].canvas, result.image.canvas)
+    assert np.array_equal(result.snapshots[10], result.canvas)
 
 
 def test_accumulate_skips_out_of_canvas_blobs():
@@ -159,8 +158,10 @@ def test_accumulate_skips_out_of_canvas_blobs():
         BlobDescriptor(x=30.0, y=8.0, scale_t=9.0, response=-500.0),
         BlobDescriptor(x=30.0, y=99.0, scale_t=9.0, response=-500.0),
     ]
-    result = accumulate_buildup(blobs, width=64, height=16)
-    assert result.image.n_events == 1
+    # One blob stamped: the count reaches checkpoint 1 but not 2.
+    result = accumulate_buildup(blobs, width=64, height=16, checkpoints=(1, 2))
+    assert sorted(result.snapshots) == [1]
+    assert np.array_equal(result.snapshots[1], result.canvas)
     assert result.skipped == 2
 
 

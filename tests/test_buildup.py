@@ -72,10 +72,10 @@ def test_run_buildup_matches_sequential_loop(mini, monkeypatch, jobs, n_events):
         config.frame_height,
         checkpoints=config.checkpoints,
     )
-    assert run.result.image.canvas.tobytes() == expected.image.canvas.tobytes()
+    assert run.result.canvas.tobytes() == expected.canvas.tobytes()
     assert sorted(run.result.snapshots) == sorted(expected.snapshots)
-    for count, image in expected.snapshots.items():
-        assert run.result.snapshots[count].canvas.tobytes() == image.canvas.tobytes()
+    for count, canvas in expected.snapshots.items():
+        assert run.result.snapshots[count].tobytes() == canvas.tobytes()
     assert run.metrics["n_events"] == n_events
     assert run.metrics["n_blobs"] == len(rows)
 

@@ -165,10 +165,11 @@ def test_buildup_outputs(tmp_path, mini_config):
     assert "buildup.sampling_half_width_m" in (out / "buildup.meta").read_text()
 
 
-def test_buildup_checkpoint_override(tmp_path, mini_config):
+def test_buildup_checkpoint_override(tmp_path):
+    cfg = tmp_path / "ck.cfg"
+    cfg.write_text(MINI_CONFIG.replace("2, 7, 30", "5,30"))
     out = tmp_path / "ck"
-    assert run("buildup", "--config", mini_config, "--out", str(out),
-               "--checkpoints", "5,30") == 0
+    assert run("buildup", "--config", str(cfg), "--out", str(out)) == 0
     assert (out / "buildup_000005.pgm").exists()
     assert not (out / "buildup_000002.pgm").exists()
 
@@ -321,6 +322,42 @@ def test_buildup_rejects_zero_events(tmp_path, capsys, monkeypatch):
     assert "sampler.n_events" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["buildup", "detect"])
+def test_short_scale_ladder_is_refused_by_key(tmp_path, capsys, monkeypatch, command):
+    # blob.t_min = 30 with the default blob.t_max = 30 leaves one scale; the
+    # config is refused before any propagation or frame read, naming the keys.
+    import doubleslit.buildup
+
+    def no_beamline(*args, **kwargs):
+        raise AssertionError("simulate_beamline called")
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("read_pgm called")
+
+    monkeypatch.setattr(doubleslit.buildup.propagation, "simulate_beamline", no_beamline)
+    monkeypatch.setattr(doubleslit.buildup.pgm, "read_pgm", no_read)
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("sampler.n_events = 5\nblob.t_min = 30\nrun.seed = 7\n")
+    frame = tmp_path / "f.pgm"
+    write_pgm(frame, np.zeros((8, 8), dtype=np.uint16))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run")]
+    assert run(*argv, *([str(frame)] if command == "detect" else [])) == 2
+    err = capsys.readouterr().err
+    for key in ("blob.t_min", "blob.t_max", "blob.ratio"):
+        assert key in err
+    assert "fewer than 3 scales" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_negative_seed_flag_is_blamed_on_the_flag(tmp_path, mini_config, capsys):
+    out = tmp_path / "run"
+    assert run("pattern", "--config", mini_config, "--out", str(out), "--seed", "-1") == 2
+    err = capsys.readouterr().err
+    assert "--seed must be nonnegative, got -1" in err
+    assert mini_config not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "config,argv",
     [
@@ -329,7 +366,7 @@ def test_buildup_rejects_zero_events(tmp_path, capsys, monkeypatch):
         ("", ["pattern", "--mask-center", "1e999 um"]),
         ("", ["sweep", "--from", "0", "--to", "1 um", "--steps", "1"]),
         ("", ["sweep", "--from", "2.8 um", "--to", "-2.8 um", "--steps", "5"]),
-        ("", ["buildup", "--checkpoints", "0,5"]),
+        ("blob.t_min = 30", ["buildup"]),  # fewer than 3 blob scales
         ("sampler.n_events = 0", ["buildup"]),
         ("", ["detect", "missing.pgm"]),
     ],
@@ -353,11 +390,12 @@ def test_invalid_config_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("marks", ["0,5", "7,2"])
-def test_buildup_rejects_bad_checkpoint_override(tmp_path, mini_config, capsys, marks):
+def test_buildup_rejects_bad_checkpoint_override(tmp_path, capsys, marks):
+    cfg = tmp_path / "ck.cfg"
+    cfg.write_text(MINI_CONFIG.replace("2, 7, 30", marks))
     out = tmp_path / "ck"
-    assert run("buildup", "--config", mini_config, "--out", str(out),
-               "--checkpoints", marks) == 2
-    assert "--checkpoints" in capsys.readouterr().err
+    assert run("buildup", "--config", str(cfg), "--out", str(out)) == 2
+    assert "buildup.checkpoints" in capsys.readouterr().err
     assert not (out / "events.csv").exists()
 
 

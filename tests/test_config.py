@@ -13,7 +13,6 @@ from doubleslit.config import (
     load_config,
     parse_config_text,
     parse_length,
-    parse_override,
 )
 from doubleslit.errors import ConfigError
 
@@ -118,6 +117,12 @@ def test_cross_field_validation():
         from_text("grid.n = 1000")
     with pytest.raises(ConfigError, match="blob.ratio"):
         from_text("blob.ratio = 1.0")
+    # Ladders of one (30) and two (3, 6) scales: the detector needs three.
+    for text in ("blob.t_min = 30", "blob.t_min = 3\nblob.t_max = 9\nblob.ratio = 2"):
+        with pytest.raises(
+            ConfigError, match="blob.t_min, blob.t_max and blob.ratio give fewer than 3"
+        ):
+            from_text(text)
     with pytest.raises(ConfigError, match="run.seed"):
         from_text("run.seed = -4", seed=False)
 
@@ -154,8 +159,31 @@ def test_derived_helpers():
     assert cfg.envelope_scale() == pytest.approx(expect * 280 / 50, rel=1e-12)
     assert cfg.height_band() == pytest.approx(4e-5)
     assert cfg.blob_scales() == geometric_scales(2.0, 30.0, 1.3)
-    tighter = from_text("blob.t_min = 3\nblob.t_max = 9\nblob.ratio = 2")
-    assert tighter.blob_scales() == (3.0, 6.0)
+    tighter = from_text("blob.t_min = 3\nblob.t_max = 12\nblob.ratio = 2")
+    assert tighter.blob_scales() == (3.0, 6.0, 12.0)
+
+
+T_MAX = [1.0, 2.0, 9.0, 12.0, 30.0, 1e-3, 7.7e5]
+RATIOS = [1.01, 1.1, 1.3, 1.5, 2.0, 3.0, 1e3]
+# Factors on t_min = t_max / r^2 put the third rung on t_max, just inside
+# geometric_scales' 1e-12 slack, just outside it, and further off.
+T_MIN_FACTORS = [1.0, 1 + 5e-13, 1 + 2e-12, 0.5, 0.999, 1.001, 2.0]
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+def test_short_ladder_check_agrees_with_geometric_scales(ratio):
+    for t_max in T_MAX:
+        for factor in T_MIN_FACTORS:
+            for t_min in (t_max / (ratio * ratio) * factor, t_max / ratio * factor, t_max):
+                if not 0 < t_min <= t_max:
+                    continue
+                text = f"blob.t_min = {t_min!r}\nblob.t_max = {t_max!r}\nblob.ratio = {ratio!r}"
+                enough = len(geometric_scales(t_min, t_max, ratio)) >= 3
+                if enough:
+                    assert len(from_text(text).blob_scales()) >= 3
+                else:
+                    with pytest.raises(ConfigError, match="fewer than 3 scales"):
+                        from_text(text)
 
 
 def test_unreadable_config_path():
@@ -196,16 +224,18 @@ def test_declared_bounds():
             from_text(text)
     with pytest.raises(ConfigError, match="run.seed must be nonnegative"):
         build_config({"run.seed": -4})
+    # A seed override is bounded as the flag, not as the file it overrides.
+    with pytest.raises(ConfigError, match=r"^argument: --seed must be nonnegative, got -1$"):
+        load_config("configs/default.cfg", -1)
+    assert load_config("configs/default.cfg", 0).seed == 0
 
 
-def test_checkpoint_override_uses_key_parse_and_bound():
-    assert parse_override("buildup.checkpoints", " 5,30 ", "--checkpoints") == (5, 30)
-    with pytest.raises(ConfigError, match="--checkpoints must be positive"):
-        parse_override("buildup.checkpoints", "0,5", "--checkpoints")
-    with pytest.raises(ConfigError, match="--checkpoints must be strictly increasing"):
-        parse_override("buildup.checkpoints", "7,2", "--checkpoints")
-    with pytest.raises(ConfigError, match="--checkpoints must be a comma-separated"):
-        parse_override("buildup.checkpoints", "5,x", "--checkpoints")
+def test_checkpoints_must_be_an_integer_list():
+    assert from_text("buildup.checkpoints = 5,30").checkpoints == (5, 30)
+    with pytest.raises(
+        ConfigError, match="<config>:1: buildup.checkpoints must be a comma-separated"
+    ):
+        from_text("buildup.checkpoints = 5,x")
 
 
 def test_every_field_declares_one_key():
