@@ -39,15 +39,32 @@ class BuildUpResult:
     skipped: int
 
 
+# Each scale is one frame-sized float64 layer of the response stack, and the
+# MAD holds a flattened copy of the stack, so a frame in flight costs two
+# layers per scale; the default ladder has 11.
+MAX_SCALES = 64
+
+
 def geometric_scales(t_min: float, t_max: float, ratio: float) -> tuple[float, ...]:
-    """Scale ladder t_min * ratio^k, stopping at t_max."""
+    """Scale ladder t_min * ratio^k, stopping at t_max.
+
+    The 3D extremum search needs at least 3 scales; more than MAX_SCALES
+    are refused before the ladder grows further.
+    """
     if not 0 < t_min <= t_max or not ratio > 1:
         raise DomainError("scale ladder needs 0 < t_min <= t_max and ratio > 1")
     scales = []
     t = t_min
     while t <= t_max * (1 + 1e-12):
+        if len(scales) == MAX_SCALES:
+            raise DomainError(f"scale ladder has more than MAX_SCALES = {MAX_SCALES} scales")
         scales.append(t)
         t *= ratio
+    if len(scales) < 3:
+        raise DomainError(
+            f"scale ladder has fewer than 3 scales ({len(scales)}); "
+            "blob detection needs at least 3"
+        )
     return tuple(scales)
 
 
@@ -86,16 +103,10 @@ def _refine(values: np.ndarray, idx: int) -> tuple[float, float]:
 
 
 def _median_in_place(flat: np.ndarray) -> float:
-    """np.median of a 1D array, partitioning the array in place.
-
-    Any NaN makes the result NaN, as with np.median (partition sorts NaN
-    to the end).
-    """
+    """np.median of a finite 1D array, partitioning the array in place."""
     n = flat.size
     lo, hi = (n - 1) // 2, n // 2
-    flat.partition([lo, hi, n - 1])
-    if np.isnan(flat[-1]):
-        return np.nan
+    flat.partition([lo, hi])
     return flat[lo : hi + 1].mean()
 
 
@@ -114,9 +125,8 @@ def _thresholded_minima(stack: np.ndarray, threshold: float) -> np.ndarray:
     ladder top must not alias into the boundary layer.  The minimum filter
     (nearest-mode borders) runs only on the bounding box of the voxels below
     -threshold plus a one-voxel halo, which holds every neighbourhood those
-    voxels need; a NaN anywhere in the stack falls back to the whole stack,
-    because NaN makes the running minimum depend on values outside the
-    window.
+    voxels need.  The stack must be finite: NaN would make the running
+    minimum depend on values outside the box.
     """
     extremal = stack < -threshold
     extremal[0] = False
@@ -124,13 +134,10 @@ def _thresholded_minima(stack: np.ndarray, threshold: float) -> np.ndarray:
     hits = np.nonzero(extremal)
     if hits[0].size == 0:
         return extremal
-    if np.isnan(stack).any():
-        box = (slice(None),) * stack.ndim
-    else:
-        box = tuple(
-            slice(max(int(h.min()) - 1, 0), min(int(h.max()) + 2, size))
-            for h, size in zip(hits, stack.shape)
-        )
+    box = tuple(
+        slice(max(int(h.min()) - 1, 0), min(int(h.max()) + 2, size))
+        for h, size in zip(hits, stack.shape)
+    )
     sub = stack[box]
     extremal[box] &= sub == ndimage.minimum_filter(sub, size=3, mode="nearest")
     return extremal
@@ -153,10 +160,15 @@ def detect_blobs(frame, scales, threshold: float | None = None) -> list[BlobDesc
     Detections within 2*sqrt(t) of an image border are dropped; of two
     detections closer than 1.5*(sqrt(t1)+sqrt(t2)) only the stronger
     survives.
+
+    The frame must be finite: a response stack holding NaN or inf is
+    refused, since its threshold and extrema would mean nothing.
     """
     stack = scale_space_response(frame, scales)
     if stack.shape[0] < 3:
         raise DomainError("blob detection needs at least 3 scales")
+    if not np.isfinite(stack).all():
+        raise DomainError("blob detection needs a finite frame; its response has NaN or inf")
     arr = np.asarray(scales, dtype=np.float64)
     if threshold is None:
         threshold = max(7.0 * 1.4826 * _mad(stack), 1e-3 * np.max(np.abs(stack)))

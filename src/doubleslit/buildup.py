@@ -112,10 +112,10 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
     """Sample events, render one frame per event, detect, accumulate."""
     if config.n_events < 1:
         raise ConfigError(f"buildup needs sampler.n_events >= 1, got {config.n_events}")
-    # The analyzed pattern is the central five interference orders; events
-    # are drawn from the both-open distribution restricted to that window.
+    # Events are drawn from the both-open distribution restricted to the
+    # analyzed pattern.
     full = propagation.simulate_beamline(config.layout(), config.beam(), 0.0, config.grid())
-    source = restrict_profile(full, 2.5 * config.fringe_period())
+    source = restrict_profile(full, config.sampling_half_width())
     events = sampler.make_events(
         source,
         config.pattern_rate,

@@ -159,7 +159,7 @@ def cmd_buildup(args) -> int:
             else:
                 fh.write(f"{key}={value}\n")
     extras = _derived(config)
-    extras["buildup.sampling_half_width_m"] = 2.5 * config.fringe_period()
+    extras["buildup.sampling_half_width_m"] = config.sampling_half_width()
     _write_meta(out / "buildup.meta", config, extras)
     m = run.metrics
     print(

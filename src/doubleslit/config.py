@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 from .blobdetect import geometric_scales
 from .core import BeamParameters
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .geometry import BeamlineLayout, make_double_slit
 from .propagation import GridSpec
 
@@ -104,6 +104,10 @@ class RunConfig:
         span = self.mask_distance + self.detector_distance
         lam = self.beam().wavelength
         return self.magnification * lam * span / self.slit_separation
+
+    def sampling_half_width(self) -> float:
+        # The analyzed pattern is the central five interference orders.
+        return 2.5 * self.fringe_period()
 
     def envelope_scale(self) -> float:
         span = self.mask_distance + self.detector_distance
@@ -224,18 +228,10 @@ def build_config(values: dict, source: str = "<config>") -> RunConfig:
     n = merged["grid.n"]
     if n < 2 or n & (n - 1):
         raise ConfigError(f"{source}: grid.n must be a power of two >= 2, got {n}")
-    if not merged["blob.t_min"] <= merged["blob.t_max"]:
-        raise ConfigError(f"{source}: blob.t_min must not exceed blob.t_max")
-    if not merged["blob.ratio"] > 1:
-        raise ConfigError(f"{source}: blob.ratio must exceed 1")
-    # The third rung of geometric_scales' ladder, in the loop's arithmetic:
-    # the 3D extremum search needs at least three scales.
-    t_min, t_max, ratio = merged["blob.t_min"], merged["blob.t_max"], merged["blob.ratio"]
-    if not t_min * ratio * ratio <= t_max * (1 + 1e-12):
-        raise ConfigError(
-            f"{source}: blob.t_min, blob.t_max and blob.ratio give fewer than "
-            "3 scales; blob detection needs blob.t_min * blob.ratio^2 <= blob.t_max"
-        )
+    try:
+        geometric_scales(merged["blob.t_min"], merged["blob.t_max"], merged["blob.ratio"])
+    except DomainError as exc:
+        raise ConfigError(f"{source}: blob.t_min, blob.t_max and blob.ratio: {exc}") from exc
     return RunConfig(**{_FIELDS[k].name: v for k, v in merged.items()})
 
 

@@ -184,19 +184,3 @@ def write_events_csv(events: list[DetectionEvent], path: str | Path) -> None:
         writer.writerow(["index", "t_s", "x_m", "y_m"])
         for ev in events:
             writer.writerow([ev.index, f"{ev.t:.17g}", f"{ev.x:.17g}", f"{ev.y:.17g}"])
-
-
-def read_events_csv(path: str | Path) -> list[DetectionEvent]:
-    events = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["index", "t_s", "x_m", "y_m"]:
-            raise DomainError(f"unexpected event CSV header: {header}")
-        for row in reader:
-            events.append(
-                DetectionEvent(
-                    index=int(row[0]), t=float(row[1]), x=float(row[2]), y=float(row[3])
-                )
-            )
-    return events

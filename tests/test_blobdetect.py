@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from doubleslit.blobdetect import (
+    MAX_SCALES,
     BlobDescriptor,
     accumulate_buildup,
     detect_blobs,
@@ -31,6 +32,21 @@ def test_scale_ladder_default():
         geometric_scales(5.0, 2.0, 1.3)
     with pytest.raises(DomainError):
         geometric_scales(2.0, 30.0, 1.0)
+    # The ladder holds 3 to MAX_SCALES scales.
+    assert geometric_scales(1.0, 4.0, 2.0) == (1.0, 2.0, 4.0)
+    assert len(geometric_scales(1.0, 2.0 ** (MAX_SCALES - 1), 2.0)) == MAX_SCALES
+    for t_max in (1.0, 3.9):  # one and two rungs
+        with pytest.raises(DomainError, match="fewer than 3 scales"):
+            geometric_scales(1.0, t_max, 2.0)
+    # One rung past the bound, a t_max whose slack overflows to inf, and a
+    # ratio that asks for ~10^9 rungs: each is refused at rung MAX_SCALES + 1.
+    for t_min, t_max, ratio in (
+        (1.0, 2.0**MAX_SCALES, 2.0),
+        (2.0, 1.7976931348623157e308, 1.3),
+        (2.0, 30.0, 1.000000001),
+    ):
+        with pytest.raises(DomainError, match=f"more than MAX_SCALES = {MAX_SCALES}"):
+            geometric_scales(t_min, t_max, ratio)
 
 
 def test_response_peaks_at_matched_scale():
@@ -68,6 +84,16 @@ def test_detect_requires_three_scales():
     frame = gaussian_spot((32, 32), 16.0, 16.0, 3.0)
     with pytest.raises(DomainError):
         detect_blobs(frame, (4.0, 9.0))
+
+
+@pytest.mark.parametrize("threshold", [None, 50.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_detect_refuses_non_finite_frames(bad, threshold):
+    frame = gaussian_spot((32, 64), 16.0, 40.0, 3.0)
+    assert len(detect_blobs(frame, LADDER, threshold)) == 1
+    frame[5, 5] = bad
+    with pytest.raises(DomainError, match="finite frame"):
+        detect_blobs(frame, LADDER, threshold)
 
 
 def test_detect_multiple_spots_with_sizes():

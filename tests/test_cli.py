@@ -324,8 +324,10 @@ def test_buildup_rejects_zero_events(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["buildup", "detect"])
 def test_short_scale_ladder_is_refused_by_key(tmp_path, capsys, monkeypatch, command):
-    # blob.t_min = 30 with the default blob.t_max = 30 leaves one scale; the
-    # config is refused before any propagation or frame read, naming the keys.
+    # blob.t_min = 30 with the default blob.t_max = 30 leaves one scale; a
+    # t_max whose slack overflows to inf, or a ratio this close to 1, would
+    # need an endless or ~10^9-rung ladder.  Each config is refused before
+    # any propagation or frame read, naming the keys.
     import doubleslit.buildup
 
     def no_beamline(*args, **kwargs):
@@ -336,17 +338,22 @@ def test_short_scale_ladder_is_refused_by_key(tmp_path, capsys, monkeypatch, com
 
     monkeypatch.setattr(doubleslit.buildup.propagation, "simulate_beamline", no_beamline)
     monkeypatch.setattr(doubleslit.buildup.pgm, "read_pgm", no_read)
-    cfg = tmp_path / "short.cfg"
-    cfg.write_text("sampler.n_events = 5\nblob.t_min = 30\nrun.seed = 7\n")
     frame = tmp_path / "f.pgm"
     write_pgm(frame, np.zeros((8, 8), dtype=np.uint16))
-    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run")]
-    assert run(*argv, *([str(frame)] if command == "detect" else [])) == 2
-    err = capsys.readouterr().err
-    for key in ("blob.t_min", "blob.t_max", "blob.ratio"):
-        assert key in err
-    assert "fewer than 3 scales" in err
-    assert not (tmp_path / "run").exists()
+    for line, reason in (
+        ("blob.t_min = 30", "fewer than 3 scales"),
+        ("blob.t_max = 1.7976931348623157e308", "more than MAX_SCALES"),
+        ("blob.ratio = 1.000000001", "more than MAX_SCALES"),
+    ):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(f"sampler.n_events = 5\n{line}\nrun.seed = 7\n")
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run")]
+        assert run(*argv, *([str(frame)] if command == "detect" else [])) == 2, line
+        err = capsys.readouterr().err
+        for key in ("blob.t_min", "blob.t_max", "blob.ratio"):
+            assert key in err, line
+        assert reason in err, line
+        assert not (tmp_path / "run").exists(), line
 
 
 def test_negative_seed_flag_is_blamed_on_the_flag(tmp_path, mini_config, capsys):

@@ -120,7 +120,13 @@ def test_cross_field_validation():
     # Ladders of one (30) and two (3, 6) scales: the detector needs three.
     for text in ("blob.t_min = 30", "blob.t_min = 3\nblob.t_max = 9\nblob.ratio = 2"):
         with pytest.raises(
-            ConfigError, match="blob.t_min, blob.t_max and blob.ratio give fewer than 3"
+            ConfigError, match="blob.t_min, blob.t_max and blob.ratio: .* fewer than 3 scales"
+        ):
+            from_text(text)
+    # A t_max whose slack overflows to inf, and a ratio asking for ~10^9 rungs.
+    for text in ("blob.t_max = 1.7976931348623157e308", "blob.ratio = 1.000000001"):
+        with pytest.raises(
+            ConfigError, match="blob.t_min, blob.t_max and blob.ratio: .* more than MAX_SCALES"
         ):
             from_text(text)
     with pytest.raises(ConfigError, match="run.seed"):
@@ -161,29 +167,6 @@ def test_derived_helpers():
     assert cfg.blob_scales() == geometric_scales(2.0, 30.0, 1.3)
     tighter = from_text("blob.t_min = 3\nblob.t_max = 12\nblob.ratio = 2")
     assert tighter.blob_scales() == (3.0, 6.0, 12.0)
-
-
-T_MAX = [1.0, 2.0, 9.0, 12.0, 30.0, 1e-3, 7.7e5]
-RATIOS = [1.01, 1.1, 1.3, 1.5, 2.0, 3.0, 1e3]
-# Factors on t_min = t_max / r^2 put the third rung on t_max, just inside
-# geometric_scales' 1e-12 slack, just outside it, and further off.
-T_MIN_FACTORS = [1.0, 1 + 5e-13, 1 + 2e-12, 0.5, 0.999, 1.001, 2.0]
-
-
-@pytest.mark.parametrize("ratio", RATIOS)
-def test_short_ladder_check_agrees_with_geometric_scales(ratio):
-    for t_max in T_MAX:
-        for factor in T_MIN_FACTORS:
-            for t_min in (t_max / (ratio * ratio) * factor, t_max / ratio * factor, t_max):
-                if not 0 < t_min <= t_max:
-                    continue
-                text = f"blob.t_min = {t_min!r}\nblob.t_max = {t_max!r}\nblob.ratio = {ratio!r}"
-                enough = len(geometric_scales(t_min, t_max, ratio)) >= 3
-                if enough:
-                    assert len(from_text(text).blob_scales()) >= 3
-                else:
-                    with pytest.raises(ConfigError, match="fewer than 3 scales"):
-                        from_text(text)
 
 
 def test_unreadable_config_path():

@@ -1,4 +1,6 @@
 """Event sampling and frame rendering: determinism, distributions, PSF."""
+import csv
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from doubleslit.sampler import (
     DetectionEvent,
     _uniforms,
     make_events,
-    read_events_csv,
     render_frame,
     sample_arrival_times,
     sample_heights,
@@ -201,7 +202,8 @@ def test_events_csv_round_trip(tmp_path):
     events = make_events(uniform_profile(), 1.5, 4e-5, 25, SEED)
     path = tmp_path / "events.csv"
     write_events_csv(events, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "index,t_s,x_m,y_m"
-    back = read_events_csv(path)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["index", "t_s", "x_m", "y_m"]
+    back = [DetectionEvent(int(i), float(t), float(x), float(y)) for i, t, x, y in rows]
     assert back == events
