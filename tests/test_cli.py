@@ -1,4 +1,8 @@
 """Command-line interface: outputs, determinism, exit codes."""
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -146,6 +150,133 @@ def test_sweep_rejects_descending_range(tmp_path, mini_config, capsys, monkeypat
                "--from", "2.8 um", "--to", "-2.8 um", "--steps", "5") == 2
     err = capsys.readouterr().err
     assert "--from" in err and "--to" in err
+
+
+SWEEP_ARGS = ("--from", "-2.8 um", "--to", "2.8 um", "--steps", "5")
+
+
+@pytest.fixture(scope="module")
+def sweep_reference(tmp_path_factory):
+    """Per-row reference files of the 5-step mini-config sweep."""
+    from doubleslit.analysis import run_sweep
+    from doubleslit.config import load_config
+
+    folder = tmp_path_factory.mktemp("config")
+    (folder / "mini.cfg").write_text(MINI_CONFIG)
+    config = load_config(str(folder / "mini.cfg"), None)
+    centers = np.linspace(-2.8e-6, 2.8e-6, 5)
+    result = run_sweep(config.layout(), config.beam(), centers, config.grid())
+    ref = tmp_path_factory.mktemp("sweep_ref")
+    lines = ["index,center_m,fraction_slit1,fraction_slit2,label,file"]
+    for i, entry in enumerate(result.entries):
+        name = f"sweep_{i:03d}.csv"
+        reference_write_profile_csv(ref / name, entry.profile)
+        f1, f2 = entry.fractions
+        lines.append(f"{i},{entry.mask_center:.17g},{f1:.17g},{f2:.17g},{entry.label},{name}")
+    (ref / "manifest.csv").write_text("\n".join(lines) + "\n")
+    return ref
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_sweep_files_match_reference_at_any_worker_count(
+    tmp_path, mini_config, monkeypatch, sweep_reference, jobs
+):
+    # More than one worker writes through forked children, even on one CPU.
+    import doubleslit.buildup
+
+    monkeypatch.setattr(doubleslit.buildup, "_worker_count", lambda: jobs)
+    out = tmp_path / "sweep"
+    assert run("sweep", "--config", mini_config, "--out", str(out), *SWEEP_ARGS) == 0
+    names = sorted(p.name for p in sweep_reference.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + ["sweep.meta"])
+    for name in names:
+        assert (out / name).read_bytes() == (sweep_reference / name).read_bytes(), name
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "blocked,named",
+    [
+        (["sweep_004.csv"], "sweep_004.csv"),  # in the child's range
+        (["sweep_000.csv"], "sweep_000.csv"),  # in the parent's range
+        (["sweep_000.csv", "sweep_004.csv"], "sweep_000.csv"),
+    ],
+)
+def test_sweep_write_error_names_the_earliest_file(
+    tmp_path, mini_config, capsys, monkeypatch, blocked, named
+):
+    # At 2 workers the parent writes sweep_000..001 and one child 002..004.
+    import doubleslit.buildup
+
+    monkeypatch.setattr(doubleslit.buildup, "_worker_count", lambda: 2)
+    out = tmp_path / "sweep"
+    for name in blocked:
+        (out / name).mkdir(parents=True)
+    assert run("sweep", "--config", mini_config, "--out", str(out), *SWEEP_ARGS) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+    assert [name for name in blocked if name in err] == [named]
+    assert not (out / "manifest.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_writer_killed_by_a_signal_is_named(tmp_path, mini_config, capsys, monkeypatch):
+    import doubleslit.buildup
+    import doubleslit.cli
+
+    monkeypatch.setattr(doubleslit.buildup, "_worker_count", lambda: 2)
+    parent = os.getpid()
+    write = doubleslit.cli._write_profile_csv
+
+    def dying_write(path, profile, xs=None):
+        if os.getpid() != parent and path.name == "sweep_003.csv":
+            os.kill(os.getpid(), signal.SIGKILL)
+        write(path, profile, xs)
+
+    monkeypatch.setattr(doubleslit.cli, "_write_profile_csv", dying_write)
+    out = tmp_path / "sweep"
+    assert run("sweep", "--config", mini_config, "--out", str(out), *SWEEP_ARGS) == 3
+    err = capsys.readouterr().err
+    assert "sweep_002.csv to sweep_004.csv was killed by signal 9" in err
+    assert "Traceback" not in err
+    assert (out / "sweep_001.csv").exists() and not (out / "manifest.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_refuses_steps_beyond_physical_memory(tmp_path, mini_config, capsys, monkeypatch):
+    # A sweep holds steps x grid.n float64 values; refused before any
+    # allocation or propagation, naming --steps.
+    import doubleslit.cli
+
+    memory = doubleslit.cli._physical_memory()
+    assert memory is None or memory > 0
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_sweep called")
+
+    monkeypatch.setattr(doubleslit.cli, "run_sweep", no_sweep)
+    out = tmp_path / "nested" / "out"
+    argv = ["sweep", "--config", mini_config, "--out", str(out), "--from", "0", "--to", "1 um"]
+    assert run(*argv, "--steps", str(10**12)) == 2
+    err = capsys.readouterr().err
+    assert "--steps 1000000000000" in err and "Traceback" not in err
+    assert not (tmp_path / "nested").exists()
+
+    # The default grid has 65536 samples: 5 steps need exactly 5 x 65536 x 8 bytes.
+    need = 5 * 65536 * 8
+    monkeypatch.setattr(doubleslit.cli, "_physical_memory", lambda: need - 1)
+    assert run(*argv, "--steps", "5") == 2
+    err = capsys.readouterr().err
+    assert (f"--steps 5 needs 5 profiles of grid.n = 65536 float64 values, {need} bytes, "
+            f"more than the {need - 1} bytes") in err
+    assert not (tmp_path / "nested").exists()
+    monkeypatch.setattr(doubleslit.cli, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="run_sweep called"):
+        run(*argv, "--steps", "5")
+    monkeypatch.setattr(doubleslit.cli, "_physical_memory", lambda: None)
+    with pytest.raises(AssertionError, match="run_sweep called"):
+        run(*argv, "--steps", "5")
 
 
 def test_buildup_outputs(tmp_path, mini_config):
