@@ -3,25 +3,22 @@ detection on existing frame files.
 
 Frames are independent: in a build-up, frame i holds event i alone and its
 background noise is keyed by i (see `sampler`); a frame file is read and
-searched on its own.  Both frame loops therefore run as contiguous index
-ranges on one thread per available CPU (`_run_ranges`), the calling thread
-taking the first range, and joining the ranges in frame order reproduces
-the sequential output bit for bit.
+searched on its own.  Both frame loops therefore run on one thread per
+available CPU (`workers.map_threads`), and the results, joined in frame
+order, reproduce the sequential output bit for bit.
 
 The library calls go through their module attributes so that a tracer
 that swaps module attributes sees every call.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import analysis, blobdetect, pgm, propagation, sampler
+from . import analysis, blobdetect, pgm, propagation, sampler, workers
 from .blobdetect import BlobDescriptor, BuildUpResult
 from .config import RunConfig
 from .errors import ConfigError, DomainError
@@ -57,55 +54,6 @@ def restrict_profile(profile: IntensityProfile, half_width: float) -> IntensityP
     return IntensityProfile(
         x0=float(profile.x[i0]), dx=profile.dx, values=values / total, normalized=True
     )
-
-
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _frame_ranges(n: int, jobs: int) -> list[range]:
-    """Split range(n) into at most `jobs` contiguous, non-empty ranges."""
-    jobs = max(1, min(jobs, n))
-    bounds = [n * k // jobs for k in range(jobs + 1)]
-    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-
-
-def _run_ranges(n: int, item: Callable[[int], object]) -> list:
-    """[item(i) for i in range(n)], over contiguous ranges of range(n).
-
-    The ranges run on one thread per CPU, the calling thread taking the
-    first.  Results are joined in range order, so when several ranges
-    raise, the exception of the earliest one propagates.  Once a range has
-    raised, every later range stops at its next item, since its result is
-    discarded; earlier ranges run on, as one of them may raise first.
-    """
-    ranges = _frame_ranges(n, _worker_count())
-    stop = [False] * len(ranges)
-
-    def work(k: int) -> list:
-        out = []
-        for i in ranges[k]:
-            if stop[k]:
-                break
-            try:
-                out.append(item(i))
-            except BaseException:
-                for later in range(k + 1, len(ranges)):
-                    stop[later] = True
-                raise
-        return out
-
-    if len(ranges) > 1:
-        with ThreadPoolExecutor(len(ranges) - 1) as pool:
-            rest = [pool.submit(work, k) for k in range(1, len(ranges))]
-            parts = [work(0)] + [f.result() for f in rest]
-    else:
-        parts = [work(k) for k in range(len(ranges))]
-    return [result for part in parts for result in part]
 
 
 def run_buildup(config: RunConfig) -> BuildUpRun:
@@ -148,7 +96,7 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
         )
         return blobdetect.detect_blobs(frame.counts, scales, config.blob_threshold)
 
-    per_frame = _run_ranges(len(events), detect_frame)
+    per_frame = workers.map_threads(len(events), detect_frame)
     rows = [
         (i, event.t, blob)
         for i, (event, blobs) in enumerate(zip(events, per_frame))
@@ -188,4 +136,4 @@ def run_detect(
     def detect_file(i: int) -> list[BlobDescriptor]:
         return blobdetect.detect_blobs(pgm.read_pgm(paths[i]), scales, config.blob_threshold)
 
-    return _run_ranges(len(paths), detect_file)
+    return workers.map_threads(len(paths), detect_file)

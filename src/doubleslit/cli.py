@@ -6,19 +6,21 @@ blobs, accumulate the build-up image), `detect` (blob detection on existing
 frame files).  All outputs are deterministic for a given config and seed;
 no artifact contains a timestamp, so identical runs are byte-identical.
 
+The CLI parses arguments, checks them and writes files; every pipeline it
+runs, and every split of work across CPUs (`workers`), is in the library.
+
 Exit codes: 0 success, 2 configuration problem, 3 I/O problem.
 """
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import blobdetect, buildup, sampler
+from . import blobdetect, sampler, workers
 from .analysis import run_sweep
 from .buildup import run_buildup, run_detect
 from .config import RunConfig, config_text, load_config, parse_length
@@ -99,8 +101,36 @@ def _profile_image(profile: IntensityProfile, config: RunConfig) -> np.ndarray:
     return _to_pgm_scaled(np.tile(row, (config.frame_height, 1)))
 
 
-def cmd_pattern(args) -> int:
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        size, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size * pages if size > 0 and pages > 0 else None
+
+
+def _refuse_beyond_memory(what: str, need: int) -> None:
+    """Refuse, before allocating, a run that needs more than physical
+    memory; `what` names the key or flag behind the `need` bytes."""
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise ConfigError(
+            f"{what}, {need} bytes, more than the {memory} bytes of physical memory"
+        )
+
+
+def _beamline_config(args) -> RunConfig:
+    """The config of a command that propagates, refused when one complex128
+    field of grid.n values would not fit in physical memory."""
     config = load_config(args.config, args.seed)
+    n = config.grid_n
+    _refuse_beyond_memory(f"grid.n = {n} needs one field of {n} complex128 values", 16 * n)
+    return config
+
+
+def cmd_pattern(args) -> int:
+    config = _beamline_config(args)
     if args.mask_center.strip().lower() == "none":
         center = None
     else:
@@ -117,86 +147,29 @@ def cmd_pattern(args) -> int:
     return 0
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not say."""
-    try:
-        size, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-    return size * pages if size > 0 and pages > 0 else None
-
-
 def _sweep_name(i: int) -> str:
     return f"sweep_{i:03d}.csv"
 
 
 def _write_sweep_profiles(out: Path, profiles: list[IntensityProfile]) -> None:
-    """Write profiles[i] to out/sweep_NNN.csv, one contiguous range per CPU.
+    """Write profiles[i] to out/sweep_NNN.csv on every CPU.
 
-    Formatting holds the GIL, so the ranges run in processes: the calling
-    process writes the first range, and one forked child writes each other
-    range.  The children inherit the profiles and the x column, formatted
-    once before the fork, so nothing is pickled (pickling them to a spawned
-    pool costs peak memory).  A child only formats and writes, so it needs
-    no lock that a thread of the parent might hold.  Every child is joined
-    before this returns or raises; the OSError of the earliest failing range
-    is raised.  With one CPU, or without the fork start method, every file
-    is written here.
+    Formatting holds the GIL, so the files are written by forked processes
+    (`workers.run_forked`), which inherit the profiles and the x column,
+    formatted once before the fork; pickling them to a spawned pool costs
+    peak memory.
     """
     # SweepResult holds one grid for all profiles.
     xs = _x_column(profiles[0])
 
-    def write(files: range) -> OSError | None:
-        try:
-            for i in files:
-                _write_profile_csv(out / _sweep_name(i), profiles[i], xs)
-        except OSError as exc:
-            return exc
-        return None
+    def write(i: int) -> None:
+        _write_profile_csv(out / _sweep_name(i), profiles[i], xs)
 
-    def child_main(files: range, send) -> None:
-        send.send(write(files))
-
-    jobs = buildup._worker_count() if "fork" in multiprocessing.get_all_start_methods() else 1
-    ranges = buildup._frame_ranges(len(profiles), jobs)
-    children = []
-    try:
-        for files in ranges[1:]:
-            context = multiprocessing.get_context("fork")
-            receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=child_main, args=(files, send))
-            child.start()
-            # Only the child holds the sending end, so a child that dies
-            # before sending ends the parent's recv with EOFError.
-            send.close()
-            children.append((files, child, receive))
-        first = write(ranges[0])
-    finally:
-        later = [_join_writer(*c) for c in children]
-    for error in [first, *later]:
-        if error is not None:
-            raise error
-
-
-def _join_writer(files: range, child, receive) -> OSError | None:
-    """Wait for a forked writer; its OSError, or one for a lost child."""
-    try:
-        error = receive.recv()
-    except EOFError:
-        error = None
-    child.join()
-    receive.close()
-    if error is None and child.exitcode != 0:
-        code = child.exitcode
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-        error = OSError(
-            f"the writer of {_sweep_name(files[0])} to {_sweep_name(files[-1])} {how}"
-        )
-    return error
+    workers.run_forked(len(profiles), write, _sweep_name)
 
 
 def cmd_sweep(args) -> int:
-    config = load_config(args.config, args.seed)
+    config = _beamline_config(args)
     lo = parse_length(args.start, "--from")
     hi = parse_length(args.stop, "--to")
     if args.steps < 2:
@@ -205,13 +178,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--from ({args.start}) must be below --to ({args.stop})")
     # A sweep holds every profile's float64 values until it writes them.
     grid = config.grid()
-    need, memory = args.steps * grid.n * 8, _physical_memory()
-    if memory is not None and need > memory:
-        raise ConfigError(
-            f"--steps {args.steps} needs {args.steps} profiles of grid.n = {grid.n} "
-            f"float64 values, {need} bytes, more than the {memory} bytes of "
-            f"physical memory"
-        )
+    _refuse_beyond_memory(
+        f"--steps {args.steps} needs {args.steps} profiles of grid.n = {grid.n} float64 values",
+        args.steps * grid.n * 8,
+    )
     centers = np.linspace(lo, hi, args.steps)
     result = run_sweep(config.layout(), config.beam(), centers, grid)
     out = _out_dir(args, config)
@@ -230,7 +200,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_buildup(args) -> int:
-    config = load_config(args.config, args.seed)
+    config = _beamline_config(args)
     run = run_buildup(config)
     out = _out_dir(args, config)
     sampler.write_events_csv(run.events, out / "events.csv")

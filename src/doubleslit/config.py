@@ -51,12 +51,6 @@ class RunConfig:
     slit_width: float = _key("slits.width", "length", "50 nm", "positive")
     slit_separation: float = _key("slits.separation", "length", "280 nm", "positive")
     slit_height: float = _key("slits.height", "length", "4 um", "positive")
-    # Echoed in .meta but not propagated: at the defaults the collimation slit
-    # lights the double slit coherently, so the model starts at the double slit.
-    collimation_width: float = _key("collimation.width", "length", "2 um", "positive")
-    collimation_distance: float = _key(
-        "collimation.distance", "length", "30.5 cm", "positive"
-    )
     mask_opening_width: float = _key("mask.opening_width", "length", "5 um", "positive")
     mask_distance: float = _key("mask.distance", "length", "230 um", "positive")
     detector_distance: float = _key("detector.distance", "length", "0.5 m", "positive")

@@ -5,9 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from doubleslit import buildup, pgm
+from doubleslit import pgm, workers
 from doubleslit.blobdetect import accumulate_buildup, detect_blobs, geometric_scales
-from doubleslit.buildup import _frame_ranges, restrict_profile, run_buildup, run_detect
+from doubleslit.buildup import restrict_profile, run_buildup, run_detect
 from doubleslit.config import load_config
 from doubleslit.errors import FrameFileError
 from doubleslit.pgm import read_pgm, write_pgm
@@ -61,7 +61,7 @@ def sequential_rows(config):
 @pytest.mark.parametrize("n_events", [31, 1])
 def test_run_buildup_matches_sequential_loop(mini, monkeypatch, jobs, n_events):
     config = dataclasses.replace(mini, n_events=n_events, checkpoints=(1, 7, 31))
-    monkeypatch.setattr(buildup, "_worker_count", lambda: jobs)
+    monkeypatch.setattr(workers, "worker_count", lambda: jobs)
     run = run_buildup(config)
     events, rows = sequential_rows(config)
     assert run.events == events
@@ -113,7 +113,7 @@ def frame_files(tmp_path_factory):
 @pytest.mark.parametrize("count", [7, 1])
 def test_run_detect_matches_sequential_loop(mini, frame_files, monkeypatch, jobs, count):
     paths = frame_files[:count]
-    monkeypatch.setattr(buildup, "_worker_count", lambda: jobs)
+    monkeypatch.setattr(workers, "worker_count", lambda: jobs)
     scales = geometric_scales(mini.blob_t_min, mini.blob_t_max, mini.blob_ratio)
     expected = [detect_blobs(read_pgm(p), scales, mini.blob_threshold) for p in paths]
     assert run_detect(paths, mini) == expected
@@ -126,7 +126,7 @@ def test_later_range_stops_after_earlier_range_raises(mini, frame_files, monkeyp
     # At 2 workers the first range fails on its first file at once; the
     # second range's result would be discarded, so it should stop reading.
     paths = [str(tmp_path / "missing.pgm")] + (frame_files * 6)[:41]
-    second = len(_frame_ranges(len(paths), 2)[1])
+    second = len(workers.split(len(paths), 2)[1])
     real_read = pgm.read_pgm
     reads = []
 
@@ -136,21 +136,11 @@ def test_later_range_stops_after_earlier_range_raises(mini, frame_files, monkeyp
         time.sleep(0.005)
         return image
 
-    monkeypatch.setattr(buildup, "_worker_count", lambda: 2)
+    monkeypatch.setattr(workers, "worker_count", lambda: 2)
     monkeypatch.setattr(pgm, "read_pgm", slow_read)
     with pytest.raises(FrameFileError, match="missing.pgm"):
         run_detect(paths, mini)
     assert len(reads) - 1 < second // 4
-
-
-@pytest.mark.parametrize("n,jobs", [(0, 2), (1, 4), (31, 2), (31, 3), (30, 2), (5, 8)])
-def test_frame_ranges_cover_in_order(n, jobs):
-    ranges = _frame_ranges(n, jobs)
-    assert [i for r in ranges for i in r] == list(range(n))
-    assert all(len(r) > 0 for r in ranges)
-    assert len(ranges) == min(jobs, n)
-    sizes = [len(r) for r in ranges]
-    assert not sizes or max(sizes) - min(sizes) <= 1
 
 
 def test_restrict_profile_renormalizes(mini):

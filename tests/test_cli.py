@@ -182,9 +182,9 @@ def test_sweep_files_match_reference_at_any_worker_count(
     tmp_path, mini_config, monkeypatch, sweep_reference, jobs
 ):
     # More than one worker writes through forked children, even on one CPU.
-    import doubleslit.buildup
+    import doubleslit.workers
 
-    monkeypatch.setattr(doubleslit.buildup, "_worker_count", lambda: jobs)
+    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: jobs)
     out = tmp_path / "sweep"
     assert run("sweep", "--config", mini_config, "--out", str(out), *SWEEP_ARGS) == 0
     names = sorted(p.name for p in sweep_reference.iterdir())
@@ -206,9 +206,9 @@ def test_sweep_write_error_names_the_earliest_file(
     tmp_path, mini_config, capsys, monkeypatch, blocked, named
 ):
     # At 2 workers the parent writes sweep_000..001 and one child 002..004.
-    import doubleslit.buildup
+    import doubleslit.workers
 
-    monkeypatch.setattr(doubleslit.buildup, "_worker_count", lambda: 2)
+    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 2)
     out = tmp_path / "sweep"
     for name in blocked:
         (out / name).mkdir(parents=True)
@@ -222,10 +222,10 @@ def test_sweep_write_error_names_the_earliest_file(
 
 
 def test_sweep_writer_killed_by_a_signal_is_named(tmp_path, mini_config, capsys, monkeypatch):
-    import doubleslit.buildup
+    import doubleslit.workers
     import doubleslit.cli
 
-    monkeypatch.setattr(doubleslit.buildup, "_worker_count", lambda: 2)
+    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 2)
     parent = os.getpid()
     write = doubleslit.cli._write_profile_csv
 
@@ -277,6 +277,63 @@ def test_sweep_refuses_steps_beyond_physical_memory(tmp_path, mini_config, capsy
     monkeypatch.setattr(doubleslit.cli, "_physical_memory", lambda: None)
     with pytest.raises(AssertionError, match="run_sweep called"):
         run(*argv, "--steps", "5")
+
+
+def no_propagation(*args, **kwargs):
+    raise AssertionError("propagation reached")
+
+
+@pytest.mark.parametrize("command", ["pattern", "sweep", "buildup"])
+def test_grid_beyond_physical_memory_is_refused(
+    tmp_path, mini_config, capsys, monkeypatch, command
+):
+    # Every pass holds complex128 fields of grid.n values; a grid.n whose one
+    # field exceeds physical memory is refused before any propagation,
+    # naming grid.n.
+    import doubleslit.cli
+    import doubleslit.propagation
+
+    machine_memory = doubleslit.cli._physical_memory
+    for name in ("simulate_beamline", "field_at_mask"):
+        monkeypatch.setattr(doubleslit.propagation, name, no_propagation)
+    monkeypatch.setattr(doubleslit.cli, "simulate_beamline", no_propagation)
+    monkeypatch.setattr(doubleslit.cli, "run_sweep", no_propagation)
+    out = tmp_path / "nested" / "out"
+    argv = [command, "--config", mini_config, "--out", str(out)]
+    argv += SWEEP_ARGS if command == "sweep" else ()
+
+    # The mini config keeps the default grid.n = 65536: one field needs
+    # exactly 16 x 65536 bytes.
+    need = 16 * 65536
+    monkeypatch.setattr(doubleslit.cli, "_physical_memory", lambda: need - 1)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert (f"error: grid.n = 65536 needs one field of 65536 complex128 values, {need} "
+            f"bytes, more than the {need - 1} bytes of physical memory") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "nested").exists()
+    for memory in (need, None):
+        monkeypatch.setattr(doubleslit.cli, "_physical_memory", lambda m=memory: m)
+        if command == "sweep" and memory is not None:
+            # Five profiles of float64 need more than one complex128 field.
+            assert run(*argv) == 2
+            err = capsys.readouterr().err
+            assert "--steps 5 needs" in err and "grid.n = 65536 needs" not in err
+            continue
+        with pytest.raises(AssertionError, match="propagation reached"):
+            run(*argv)
+
+    # 2^50 samples need 16 PiB, more than any address space: refused with the
+    # machine's own memory figure.
+    monkeypatch.setattr(doubleslit.cli, "_physical_memory", machine_memory)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(MINI_CONFIG + f"grid.n = {2**50}\n")
+    argv[2] = str(cfg)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"grid.n = {2**50} needs one field of {2**50} complex128 values, {2**54} bytes" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "nested").exists()
 
 
 def test_buildup_outputs(tmp_path, mini_config):
@@ -397,9 +454,9 @@ def test_detect_refuses_colliding_output_names(tmp_path, mini_config, capsys, mo
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_detect_bad_later_frame_writes_nothing(tmp_path, mini_config, capsys, monkeypatch, jobs):
-    import doubleslit.buildup
+    import doubleslit.workers
 
-    monkeypatch.setattr(doubleslit.buildup, "_worker_count", lambda: jobs)
+    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: jobs)
     good = tmp_path / "good.pgm"
     write_pgm(good, spot_image((32, 32), [(16, 16, 3.0)]))
     out = tmp_path / "nested" / "out"
@@ -412,9 +469,9 @@ def test_detect_bad_later_frame_writes_nothing(tmp_path, mini_config, capsys, mo
 def test_detect_reports_first_bad_frame_in_input_order(tmp_path, mini_config, capsys, monkeypatch):
     # At 2 workers the second range starts on its bad file while the calling
     # thread still detects two good frames before reaching its own.
-    import doubleslit.buildup
+    import doubleslit.workers
 
-    monkeypatch.setattr(doubleslit.buildup, "_worker_count", lambda: 2)
+    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 2)
     image = spot_image((32, 32), [(16, 16, 3.0)])
     names = ["g0", "g1", "early", "late", "g4", "g5"]
     for name in names:

@@ -37,7 +37,6 @@ def test_default_values():
     assert cfg.beam_energy == 600.0
     assert cfg.slit_width == pytest.approx(50e-9)
     assert cfg.slit_separation == pytest.approx(280e-9)
-    assert cfg.collimation_distance == pytest.approx(0.305)
     assert cfg.mask_distance == pytest.approx(230e-6)
     assert cfg.mask_opening_width == pytest.approx(5e-6)
     assert cfg.magnification == 10.0
@@ -223,6 +222,6 @@ def test_checkpoints_must_be_an_integer_list():
 
 def test_every_field_declares_one_key():
     keys = [f.metadata["key"] for f in fields(RunConfig)]
-    assert len(keys) == len(set(keys)) == 28
+    assert len(keys) == len(set(keys)) == 26
     echoed = config_text(from_text("run.seed = 3"))
     assert [ln.split(" = ")[0] for ln in echoed.splitlines()] == keys
