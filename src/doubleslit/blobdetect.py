@@ -77,6 +77,23 @@ def _validate_scales(scales) -> np.ndarray:
     return arr
 
 
+def _detection_ladder(scales) -> np.ndarray:
+    """The scales as an array, refused unless they are a geometric ladder
+    of at least 3 rungs: the 3D extremum search needs a scale on each side
+    of a candidate, and the sub-scale refinement steps log t by one ratio.
+    """
+    arr = _validate_scales(scales)
+    if arr.size < 3:
+        raise DomainError("blob detection needs at least 3 scales")
+    ratios = arr[1:] / arr[:-1]
+    if np.any(np.abs(ratios - ratios[0]) > 1e-9 * ratios[0]):
+        raise DomainError(
+            "blob detection needs a geometric scale ladder; consecutive scale "
+            f"ratios run from {ratios.min():.6g} to {ratios.max():.6g}"
+        )
+    return arr
+
+
 def scale_space_response(frame, scales) -> np.ndarray:
     """Stack of t * Laplacian(Gaussian(image, sqrt(t))) over the ladder.
 
@@ -161,15 +178,14 @@ def detect_blobs(frame, scales, threshold: float | None = None) -> list[BlobDesc
     detections closer than 1.5*(sqrt(t1)+sqrt(t2)) only the stronger
     survives.
 
-    The frame must be finite: a response stack holding NaN or inf is
-    refused, since its threshold and extrema would mean nothing.
+    The scales must be a geometric ladder (`geometric_scales`) of at least
+    3 rungs, and the frame must be finite: a response stack holding NaN or
+    inf is refused, since its threshold and extrema would mean nothing.
     """
-    stack = scale_space_response(frame, scales)
-    if stack.shape[0] < 3:
-        raise DomainError("blob detection needs at least 3 scales")
+    arr = _detection_ladder(scales)
+    stack = scale_space_response(frame, arr)
     if not np.isfinite(stack).all():
         raise DomainError("blob detection needs a finite frame; its response has NaN or inf")
-    arr = np.asarray(scales, dtype=np.float64)
     if threshold is None:
         threshold = max(7.0 * 1.4826 * _mad(stack), 1e-3 * np.max(np.abs(stack)))
     extremal = _thresholded_minima(stack, threshold)

@@ -78,10 +78,10 @@ def _derived(config: RunConfig) -> dict:
     }
 
 
-def _out_dir(args, config: RunConfig) -> Path:
-    """The output directory, created on the spot: call it just before the
+def _out_dir(args) -> Path:
+    """The --out directory, created on the spot: call it just before the
     first write, so that a run that fails earlier leaves nothing behind."""
-    out = Path(args.out) if args.out else Path(config.output_directory)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -136,7 +136,7 @@ def cmd_pattern(args) -> int:
     else:
         center = parse_length(args.mask_center, "--mask-center")
     profile = simulate_beamline(config.layout(), config.beam(), center, config.grid())
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     _write_profile_csv(out / "pattern.csv", profile)
     extras = _derived(config)
     extras["pattern.mask_center_m"] = "none" if center is None else float(center)
@@ -184,7 +184,7 @@ def cmd_sweep(args) -> int:
     )
     centers = np.linspace(lo, hi, args.steps)
     result = run_sweep(config.layout(), config.beam(), centers, grid)
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     _write_sweep_profiles(out, [entry.profile for entry in result.entries])
     with open(out / "manifest.csv", "w", newline="") as fh:
         fh.write("index,center_m,fraction_slit1,fraction_slit2,label,file\n")
@@ -201,8 +201,18 @@ def cmd_sweep(args) -> int:
 
 def cmd_buildup(args) -> int:
     config = _beamline_config(args)
+    # Each detection thread holds one frame's response stack, a float64
+    # layer per scale, and the stack's flattened copy for the MAD.
+    w, h = config.frame_width, config.frame_height
+    scales, jobs = len(config.blob_scales()), workers.worker_count()
+    _refuse_beyond_memory(
+        f"frame.width = {w} and frame.height = {h} with the {scales} scales of "
+        f"blob.t_min, blob.t_max and blob.ratio need 2 x {scales} frame layers of "
+        f"float64 on each of {jobs} threads",
+        2 * 8 * scales * w * h * jobs,
+    )
     run = run_buildup(config)
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     sampler.write_events_csv(run.events, out / "events.csv")
     blobdetect.write_blobs_csv(run.rows, out / "blobs.csv")
     for count, canvas in sorted(run.result.snapshots.items()):
@@ -235,7 +245,7 @@ def cmd_detect(args) -> int:
             raise ConfigError(f"{first[target]} and {name} would both write {target}")
         first[target] = name
     found = run_detect(args.files, config)
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     for name, target, blobs in zip(args.files, targets, found):
         rows = [(0, float("nan"), blob) for blob in blobs]
         blobdetect.write_blobs_csv(rows, out / target)
@@ -248,7 +258,7 @@ def cmd_detect(args) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="config file path")
     sub.add_argument("--seed", type=int, default=None, help="RNG seed override")
-    sub.add_argument("--out", default=None, help="output directory")
+    sub.add_argument("--out", default="out", help="output directory (default: out)")
 
 
 def build_parser() -> argparse.ArgumentParser:

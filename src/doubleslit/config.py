@@ -7,8 +7,11 @@ reported with their line number.  The seed must be given explicitly (file
 or --seed); runs never fall back to wall-clock entropy.
 
 Each key is declared once, on its RunConfig field: the key, its kind, its
-default text and its lower bound.  Parsing, defaults, bounds and the
-metadata echo all read those declarations.
+default text, its lower bound and whether it is an assumption rather than
+a value the experiment states.  Parsing, defaults, bounds and the metadata
+echo all read those declarations.  A rule across keys belongs to the
+library object built from those keys; build_config builds each once and
+names the keys in its refusal.  The output directory is --out, not a key.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 from .blobdetect import geometric_scales
 from .core import BeamParameters
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, GridConfigError
 from .geometry import BeamlineLayout, make_double_slit
 from .propagation import GridSpec
 
@@ -26,21 +29,22 @@ LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "cm": 1e-2, "m": 1.0}
 ENERGY_UNITS = {"eV": 1.0, "keV": 1e3}
 RATE_UNITS = {"Hz": 1.0}
 
-# Not stated by the source experiment; free choices that scale the detector
-# pattern.  Flagged in every metadata echo.
-ASSUMED_KEYS = ("detector.distance", "detector.magnification")
-
 _NUMBER_RE = re.compile(r"^([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([A-Za-z]*)$")
 
 
-def _key(key: str, kind: str, default: str | None, bound: str | None = None):
+def _key(
+    key: str, kind: str, default: str | None, bound: str | None = None, assumed: bool = False
+):
     """Declare the config key behind a RunConfig field.
 
     default is the value text (None: the key is required); bound is
     "positive", "nonnegative" or None, and applies to each element of an
-    int_list.
+    int_list; assumed flags a free choice the source experiment does not
+    state, in every metadata echo.
     """
-    return field(metadata=dict(key=key, kind=kind, default=default, bound=bound))
+    return field(
+        metadata=dict(key=key, kind=kind, default=default, bound=bound, assumed=assumed)
+    )
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,13 @@ class RunConfig:
     slit_height: float = _key("slits.height", "length", "4 um", "positive")
     mask_opening_width: float = _key("mask.opening_width", "length", "5 um", "positive")
     mask_distance: float = _key("mask.distance", "length", "230 um", "positive")
-    detector_distance: float = _key("detector.distance", "length", "0.5 m", "positive")
-    magnification: float = _key("detector.magnification", "float", "10", "positive")
+    # Free choices that scale the detector pattern.
+    detector_distance: float = _key(
+        "detector.distance", "length", "0.5 m", "positive", assumed=True
+    )
+    magnification: float = _key(
+        "detector.magnification", "float", "10", "positive", assumed=True
+    )
     grid_window: float = _key("grid.window", "length", "64 um", "positive")
     grid_n: int = _key("grid.n", "int", "65536", "positive")
     # The experiment quotes ~1 Hz arriving inside the analyzed pattern but a
@@ -76,7 +85,6 @@ class RunConfig:
     checkpoints: tuple[int, ...] = _key(
         "buildup.checkpoints", "int_list", "2,7,209,1004,6235", "positive"
     )
-    output_directory: str = _key("output.directory", "string", "out")
     seed: int = _key("run.seed", "int", None, "nonnegative")
 
     def beam(self) -> BeamParameters:
@@ -128,10 +136,6 @@ def _parse_scalar(key: str, kind: str, text: str, where: str):
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError(f"{where}: {key} must be strictly increasing")
         return values
-    if kind == "string":
-        if not text:
-            raise ConfigError(f"{where}: {key} must not be empty")
-        return text
     if kind == "threshold":
         if text == "auto":
             return None
@@ -214,19 +218,18 @@ def build_config(values: dict, source: str = "<config>") -> RunConfig:
         else:
             raise ConfigError(f"{source}: required key {key!r} is missing")
         _check_bound(key, meta["bound"], merged[key], source)
-    if not merged["slits.width"] < merged["slits.separation"]:
-        raise ConfigError(
-            f"{source}: slits.width must be below slits.separation "
-            "(slits would overlap)"
-        )
-    n = merged["grid.n"]
-    if n < 2 or n & (n - 1):
-        raise ConfigError(f"{source}: grid.n must be a power of two >= 2, got {n}")
-    try:
-        geometric_scales(merged["blob.t_min"], merged["blob.t_max"], merged["blob.ratio"])
-    except DomainError as exc:
-        raise ConfigError(f"{source}: blob.t_min, blob.t_max and blob.ratio: {exc}") from exc
-    return RunConfig(**{_FIELDS[k].name: v for k, v in merged.items()})
+    config = RunConfig(**{_FIELDS[k].name: v for k, v in merged.items()})
+    # Within the bounds above, each object can refuse only the keys named.
+    for keys, build in (
+        ("slits.width and slits.separation", config.layout),
+        ("grid.n", config.grid),
+        ("blob.t_min, blob.t_max and blob.ratio", config.blob_scales),
+    ):
+        try:
+            build()
+        except (DomainError, GridConfigError) as exc:
+            raise ConfigError(f"{source}: {keys}: {exc}") from exc
+    return config
 
 
 def load_config(path: str | None, seed: int | None = None) -> RunConfig:
@@ -256,7 +259,7 @@ def _format_value(kind: str, value) -> str:
         return ",".join(str(v) for v in value)
     if kind == "threshold" and value is None:
         return "auto"
-    if kind in ("string", "int"):
+    if kind == "int":
         return str(value)
     return f"{value:.17g}{_UNIT_SUFFIX.get(kind, '')}"
 
@@ -266,6 +269,6 @@ def config_text(config: RunConfig) -> str:
     lines = []
     for key, f in _FIELDS.items():
         value = _format_value(f.metadata["kind"], getattr(config, f.name))
-        flag = "  # assumed, not a measured value" if key in ASSUMED_KEYS else ""
+        flag = "  # assumed, not a measured value" if f.metadata["assumed"] else ""
         lines.append(f"{key} = {value}{flag}")
     return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from doubleslit import blobdetect
 from doubleslit.blobdetect import (
     MAX_SCALES,
     BlobDescriptor,
@@ -84,6 +85,34 @@ def test_detect_requires_three_scales():
     frame = gaussian_spot((32, 32), 16.0, 16.0, 3.0)
     with pytest.raises(DomainError):
         detect_blobs(frame, (4.0, 9.0))
+
+
+def test_detect_refuses_a_non_geometric_ladder(monkeypatch):
+    # Sub-scale refinement steps log t by log(scales[1] / scales[0]), which
+    # is one rung only on a geometric ladder: on (2, 4, 9.5, 30) the sigma = 3
+    # spot below read scale_t 8.55, against 9.13 on geometric_scales(2, 30,
+    # 1.3).  The ladder is refused before any response stack is built.
+    frame = gaussian_spot((48, 48), 24.0, 24.0, 3.0)
+
+    def no_stack(*args, **kwargs):
+        raise AssertionError("response stack built")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(blobdetect, "scale_space_response", no_stack)
+        for scales in ((2.0, 4.0, 9.5, 30.0), (4.0, 9.0)):
+            with pytest.raises(DomainError, match="geometric scale ladder|at least 3 scales"):
+                detect_blobs(frame, scales)
+    # Every ladder geometric_scales builds in these tests is accepted.
+    for args in ((2.0, 30.0, 1.3), (2.0, 60.0, 1.3)):
+        (blob,) = detect_blobs(frame, geometric_scales(*args))
+        assert 0.8 <= blob.scale_t / 9.0 <= 1.2
+    # The spot's scale 9 lies above this ladder's one inner rung, 2.
+    assert detect_blobs(frame, geometric_scales(1.0, 4.0, 2.0)) == []
+    for args in ((1.0, 2.0 ** (MAX_SCALES - 1), 2.0), (2.0, 2.0 * 1.3**63, 1.3)):
+        ladder = geometric_scales(*args)
+        assert blobdetect._detection_ladder(ladder).tolist() == list(ladder)
+    # scale_space_response keeps taking any increasing list.
+    assert scale_space_response(frame, (2.0, 4.0, 9.5, 30.0)).shape == (4, 48, 48)
 
 
 @pytest.mark.parametrize("threshold", [None, 50.0])

@@ -314,11 +314,13 @@ def test_grid_beyond_physical_memory_is_refused(
     assert not (tmp_path / "nested").exists()
     for memory in (need, None):
         monkeypatch.setattr(doubleslit.cli, "_physical_memory", lambda m=memory: m)
-        if command == "sweep" and memory is not None:
-            # Five profiles of float64 need more than one complex128 field.
+        if command != "pattern" and memory is not None:
+            # Five profiles of float64, or one frame's response stacks, need
+            # more than one complex128 field.
             assert run(*argv) == 2
             err = capsys.readouterr().err
-            assert "--steps 5 needs" in err and "grid.n = 65536 needs" not in err
+            assert "grid.n = 65536 needs" not in err
+            assert ("--steps 5 needs" if command == "sweep" else "frame.width = 416") in err
             continue
         with pytest.raises(AssertionError, match="propagation reached"):
             run(*argv)
@@ -334,6 +336,37 @@ def test_grid_beyond_physical_memory_is_refused(
     assert f"grid.n = {2**50} needs one field of {2**50} complex128 values, {2**54} bytes" in err
     assert "Traceback" not in err
     assert not (tmp_path / "nested").exists()
+
+
+def test_buildup_refuses_frames_beyond_physical_memory(
+    tmp_path, mini_config, capsys, monkeypatch
+):
+    # Each detection thread holds 2 float64 layers per scale of one frame:
+    # with 3 threads, the default 416 x 32 frame and its 11 scales need
+    # 2 x 8 x 11 x 416 x 32 x 3 bytes, refused before any propagation.
+    import doubleslit.cli
+    import doubleslit.workers
+
+    def no_buildup(*args, **kwargs):
+        raise AssertionError("run_buildup called")
+
+    monkeypatch.setattr(doubleslit.cli, "run_buildup", no_buildup)
+    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 3)
+    out = tmp_path / "nested" / "out"
+    argv = ["buildup", "--config", mini_config, "--out", str(out)]
+    need = 2 * 8 * 11 * 416 * 32 * 3
+    monkeypatch.setattr(doubleslit.cli, "_physical_memory", lambda: need - 1)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert (f"error: frame.width = 416 and frame.height = 32 with the 11 scales of "
+            f"blob.t_min, blob.t_max and blob.ratio need 2 x 11 frame layers of float64 "
+            f"on each of 3 threads, {need} bytes, more than the {need - 1} bytes") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "nested").exists()
+    for memory in (need, None):
+        monkeypatch.setattr(doubleslit.cli, "_physical_memory", lambda m=memory: m)
+        with pytest.raises(AssertionError, match="run_buildup called"):
+            run(*argv)
 
 
 def test_buildup_outputs(tmp_path, mini_config):
@@ -572,6 +605,21 @@ def test_failed_run_leaves_no_output_directory(tmp_path, config, argv):
     out = tmp_path / "nested" / "out"
     assert run(*argv, "--config", str(cfg), "--out", str(out)) in (2, 3)
     assert not (tmp_path / "nested").exists()
+
+
+def test_output_directory_comes_from_out_alone(tmp_path, capsys, monkeypatch):
+    # --out is the one way to name the output directory: the config key it
+    # replaced is unknown, and a run without --out writes to out/.
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("output.directory = elsewhere\nrun.seed = 7\n")
+    assert run("pattern", "--config", str(cfg)) == 2
+    assert "unknown key 'output.directory'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+    cfg.write_text("run.seed = 7\n")
+    assert run("pattern", "--config", str(cfg)) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["pattern.csv", "pattern.meta"]
+    assert "output.directory" not in (tmp_path / "out" / "pattern.meta").read_text()
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
