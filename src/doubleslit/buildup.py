@@ -56,6 +56,18 @@ def restrict_profile(profile: IntensityProfile, half_width: float) -> IntensityP
     )
 
 
+def refuse_stacks_beyond_memory(frames: str, w: int, h: int, scales: int) -> None:
+    """Refuse w x h frames whose response stacks would exceed physical
+    memory: each detection thread holds one frame's stack, a float64 layer
+    per scale, and the stack's flattened copy for the MAD."""
+    jobs = workers.worker_count()
+    workers.refuse_beyond_memory(
+        f"{frames} with the {scales} scales of blob.t_min, blob.t_max and "
+        f"blob.ratio need 2 x {scales} frame layers of float64 on each of {jobs} threads",
+        2 * 8 * scales * w * h * jobs,
+    )
+
+
 def run_buildup(config: RunConfig) -> BuildUpRun:
     """Sample events, render one frame per event, detect, accumulate."""
     if config.n_events < 1:
@@ -128,12 +140,16 @@ def run_detect(
     """Read each frame file and detect its blobs; one list per path, in order.
 
     Each worker reads its own frames, so only one frame per thread is held
-    at a time.  A bad file raises the `FrameFileError` of the first bad
-    path in input order, and nothing is returned.
+    at a time.  A bad file, or a frame whose response stacks would exceed
+    physical memory, raises the error of the first such path in input
+    order, and nothing is returned.
     """
     scales = config.blob_scales()
 
     def detect_file(i: int) -> list[BlobDescriptor]:
-        return blobdetect.detect_blobs(pgm.read_pgm(paths[i]), scales, config.blob_threshold)
+        frame = pgm.read_pgm(paths[i])
+        h, w = frame.shape
+        refuse_stacks_beyond_memory(f"{paths[i]}: {w}x{h} frames", w, h, len(scales))
+        return blobdetect.detect_blobs(frame, scales, config.blob_threshold)
 
     return workers.map_threads(len(paths), detect_file)

@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 configuration problem, 3 I/O problem.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import blobdetect, sampler, workers
 from .analysis import run_sweep
-from .buildup import run_buildup, run_detect
+from .buildup import refuse_stacks_beyond_memory, run_buildup, run_detect
 from .config import RunConfig, config_text, load_config, parse_length
 from .core import mean_interelectron_distance
 from .errors import ConfigError, DomainError, GridConfigError
@@ -30,9 +29,17 @@ from .pgm import MAXVAL, write_pgm
 from .propagation import IntensityProfile, simulate_beamline
 
 
+_BLOCK_ROWS = 4096  # rows per x-column template, filled by one % call
+
+
 def _x_column(profile: IntensityProfile) -> list[str]:
-    """The formatted first column of a profile CSV, separator included."""
-    return [f"{x:.17g}," for x in profile.x.tolist()]
+    """The first column of a profile CSV as row templates `"<x>,%.17g\n"`,
+    _BLOCK_ROWS rows each (the last block may hold fewer)."""
+    x = profile.x.tolist()
+    return [
+        "".join([f"{v:.17g},%.17g\n" for v in x[lo : lo + _BLOCK_ROWS]])
+        for lo in range(0, len(x), _BLOCK_ROWS)
+    ]
 
 
 def _write_profile_csv(
@@ -41,13 +48,18 @@ def _write_profile_csv(
     """Write `x_m,intensity` rows with 17 significant digits.
 
     xs is _x_column(profile), passed in when many profiles share one grid
-    so that the column is formatted once.
+    so that the column is formatted once.  A column of another length is
+    refused before the file is opened.
     """
     if xs is None:
         xs = _x_column(profile)
+    rows = _BLOCK_ROWS * (len(xs) - 1) + xs[-1].count("\n") if xs else 0
+    if rows != profile.n:
+        raise DomainError(f"x column of {rows} rows for a profile of {profile.n} values")
     with open(path, "w", newline="") as fh:
         fh.write("x_m,intensity\n")
-        fh.writelines(map(str.__add__, xs, map("%.17g\n".__mod__, profile.values.tolist())))
+        for lo, block in zip(range(0, rows, _BLOCK_ROWS), xs):
+            fh.write(block % tuple(profile.values[lo : lo + _BLOCK_ROWS].tolist()))
 
 
 def _write_meta(path: Path, config: RunConfig, extras: dict) -> None:
@@ -101,31 +113,14 @@ def _profile_image(profile: IntensityProfile, config: RunConfig) -> np.ndarray:
     return _to_pgm_scaled(np.tile(row, (config.frame_height, 1)))
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not say."""
-    try:
-        size, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-    return size * pages if size > 0 and pages > 0 else None
-
-
-def _refuse_beyond_memory(what: str, need: int) -> None:
-    """Refuse, before allocating, a run that needs more than physical
-    memory; `what` names the key or flag behind the `need` bytes."""
-    memory = _physical_memory()
-    if memory is not None and need > memory:
-        raise ConfigError(
-            f"{what}, {need} bytes, more than the {memory} bytes of physical memory"
-        )
-
-
 def _beamline_config(args) -> RunConfig:
     """The config of a command that propagates, refused when one complex128
     field of grid.n values would not fit in physical memory."""
     config = load_config(args.config, args.seed)
     n = config.grid_n
-    _refuse_beyond_memory(f"grid.n = {n} needs one field of {n} complex128 values", 16 * n)
+    workers.refuse_beyond_memory(
+        f"grid.n = {n} needs one field of {n} complex128 values", 16 * n
+    )
     return config
 
 
@@ -154,10 +149,12 @@ def _sweep_name(i: int) -> str:
 def _write_sweep_profiles(out: Path, profiles: list[IntensityProfile]) -> None:
     """Write profiles[i] to out/sweep_NNN.csv on every CPU.
 
-    Formatting holds the GIL, so the files are written by forked processes
-    (`workers.run_forked`), which inherit the profiles and the x column,
-    formatted once before the fork; pickling them to a spawned pool costs
-    peak memory.
+    The x column is formatted once, before the fork, into blocks of row
+    templates (`_x_column`); each file then takes one `%` per block of
+    values.  Formatting holds the GIL, so the files are written by forked
+    processes (`workers.run_forked`), which inherit the profiles and the
+    templates; pickling them to a spawned pool costs peak memory, and so
+    does a template of a whole file.
     """
     # SweepResult holds one grid for all profiles.
     xs = _x_column(profiles[0])
@@ -178,7 +175,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--from ({args.start}) must be below --to ({args.stop})")
     # A sweep holds every profile's float64 values until it writes them.
     grid = config.grid()
-    _refuse_beyond_memory(
+    workers.refuse_beyond_memory(
         f"--steps {args.steps} needs {args.steps} profiles of grid.n = {grid.n} float64 values",
         args.steps * grid.n * 8,
     )
@@ -201,15 +198,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_buildup(args) -> int:
     config = _beamline_config(args)
-    # Each detection thread holds one frame's response stack, a float64
-    # layer per scale, and the stack's flattened copy for the MAD.
     w, h = config.frame_width, config.frame_height
-    scales, jobs = len(config.blob_scales()), workers.worker_count()
-    _refuse_beyond_memory(
-        f"frame.width = {w} and frame.height = {h} with the {scales} scales of "
-        f"blob.t_min, blob.t_max and blob.ratio need 2 x {scales} frame layers of "
-        f"float64 on each of {jobs} threads",
-        2 * 8 * scales * w * h * jobs,
+    refuse_stacks_beyond_memory(
+        f"frame.width = {w} and frame.height = {h}", w, h, len(config.blob_scales())
     )
     run = run_buildup(config)
     out = _out_dir(args)

@@ -193,6 +193,37 @@ def angular_spectrum_step(field: WaveField, z: float) -> WaveField:
     return replace(field, amplitudes=out)
 
 
+# The key (n, dx, x0, wavelength, z) of the last Fresnel step, and its
+# factors once that key has come twice in a row: every pass of a sweep after
+# the second reuses them, while a command that runs one pass keeps nothing.
+_fresnel_memo: list = [None, None]
+
+
+def _fresnel_factors(n: int, dx: float, x0: float, lam: float, z: float) -> tuple:
+    """fresnel_transform_step's input chirp, half-sample shift and output
+    factor, read-only; they depend on the grid and z alone."""
+    key = (n, dx, x0, lam, z)
+    last, kept = _fresnel_memo
+    if kept is not None and key == last:
+        return kept
+    lz = lam * z
+    x1 = x0 + np.arange(n) * dx
+    chirp_in = np.exp(1j * np.pi * x1 * x1 / lz)
+    del x1  # a one-pass command's peak memory is set in this function
+    x2 = (np.arange(n) - (n - 1) / 2) * (lz / (n * dx))
+    # The shift aligns the DFT output bins with the recentered output grid.
+    shift = np.exp(1j * np.pi * np.arange(n) * (n - 1) / n)
+    prefactor = dx * np.exp(-1j * np.pi / 4) / np.sqrt(lz)
+    chirp_out = (
+        prefactor * np.exp(1j * np.pi * x2 * x2 / lz) * np.exp(-2j * np.pi * x0 * x2 / lz)
+    )
+    factors = (chirp_in, shift, chirp_out)
+    for factor in factors:
+        factor.flags.writeable = False
+    _fresnel_memo[:] = [key, factors if key == last else None]
+    return factors
+
+
 def fresnel_transform_step(field: WaveField, z: float) -> WaveField:
     """Propagate a distance z with a single scaled Fourier transform.
 
@@ -203,26 +234,17 @@ def fresnel_transform_step(field: WaveField, z: float) -> WaveField:
     """
     if not z > 0:
         raise DomainError(f"propagation distance must be positive, got {z}")
-    lam = field.wavelength
-    n, dx = field.n, field.dx
-    lz = lam * z
-    dx_out = lz / (n * dx)
-    x1 = field.x
-    x2 = (np.arange(n) - (n - 1) / 2) * dx_out
-    j = np.arange(n)
-    # Input chirp, then the half-sample shift aligning the DFT output bins
-    # with the recentered output grid.
-    g = field.amplitudes * np.exp(1j * np.pi * x1 * x1 / lz)
-    g = g * np.exp(1j * np.pi * j * (n - 1) / n)
+    lam, n, dx = field.wavelength, field.n, field.dx
+    chirp_in, shift, chirp_out = _fresnel_factors(n, dx, field.x0, lam, z)
+    # Under FMA a complex a*b and b*a can differ in the last bit.  Each factor
+    # goes first, as numpy's temporary elision ordered the product when the
+    # factor was a fresh temporary of 256 KiB or more; the spectrum is named
+    # so that no elision moves chirp_out behind it.
+    g = chirp_in * field.amplitudes
+    g = shift * g
     spectrum = np.fft.fft(g)
-    prefactor = dx * np.exp(-1j * np.pi / 4) / np.sqrt(lz)
-    out = (
-        prefactor
-        * np.exp(1j * np.pi * x2 * x2 / lz)
-        * np.exp(-2j * np.pi * field.x0 * x2 / lz)
-        * spectrum
-    )
-    return WaveField(x0=float(x2[0]), dx=dx_out, wavelength=lam, amplitudes=out)
+    dx_out = lam * z / (n * dx)
+    return WaveField(symmetric_grid_origin(n, dx_out), dx_out, lam, chirp_out * spectrum)
 
 
 def direct_integral_reference(

@@ -4,7 +4,8 @@ The calling thread or process takes the first range, results join in range
 order, every worker is joined before a runner returns or raises, and the
 error of the earliest failing range wins.  Work that releases the GIL (blob
 detection) runs on threads; work that holds it (number formatting) runs in
-forked processes.
+forked processes.  Memory that a run would need is checked here too, before
+it is allocated.
 """
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
+from .errors import ConfigError
+
 
 def worker_count() -> int:
     """CPUs this process may run on."""
@@ -20,6 +23,25 @@ def worker_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        size, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size * pages if size > 0 and pages > 0 else None
+
+
+def refuse_beyond_memory(what: str, need: int) -> None:
+    """Refuse, before allocating, a run that needs more than physical
+    memory; `what` names the key, flag or file behind the `need` bytes."""
+    memory = physical_memory()
+    if memory is not None and need > memory:
+        raise ConfigError(
+            f"{what}, {need} bytes, more than the {memory} bytes of physical memory"
+        )
 
 
 def split(n: int, jobs: int) -> list[range]:

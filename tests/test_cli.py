@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from doubleslit.cli import _write_profile_csv, _x_column, main
+from doubleslit.errors import DomainError
 from doubleslit.pgm import read_pgm, write_pgm
 from doubleslit.propagation import IntensityProfile
 
@@ -97,7 +98,7 @@ def test_profile_writer_matches_per_row_reference(tmp_path, x0, dx):
     profiles = [
         IntensityProfile(x0=x0, dx=dx, values=np.asarray(vals), normalized=False)
         for vals in (EXTREME_VALUES, EXTREME_VALUES[::-1],
-                     np.random.default_rng(3).random(8) ** 9)
+                     np.random.default_rng(3).random(9) ** 9)
     ]
     xs = _x_column(profiles[0])
     for i, profile in enumerate(profiles):
@@ -109,6 +110,18 @@ def test_profile_writer_matches_per_row_reference(tmp_path, x0, dx):
         _write_profile_csv(shared, profile, xs)
         assert single.read_bytes() == expected.read_bytes()
         assert shared.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("column_n,values_n", [(4, 8), (8, 4), (0, 1), (4097, 4096)])
+def test_profile_writer_refuses_a_column_of_another_length(tmp_path, column_n, values_n):
+    # A shared column of another grid would silently drop or misplace rows.
+    column = IntensityProfile(x0=0.0, dx=1.0, values=np.ones(column_n), normalized=False)
+    profile = IntensityProfile(x0=0.0, dx=1.0, values=np.ones(values_n), normalized=False)
+    path = tmp_path / "p.csv"
+    with pytest.raises(DomainError, match=f"x column of {column_n} rows for a profile "
+                                          f"of {values_n} values"):
+        _write_profile_csv(path, profile, _x_column(column))
+    assert not path.exists()
 
 
 def test_sweep_manifest(tmp_path, mini_config):
@@ -248,8 +261,9 @@ def test_sweep_refuses_steps_beyond_physical_memory(tmp_path, mini_config, capsy
     # A sweep holds steps x grid.n float64 values; refused before any
     # allocation or propagation, naming --steps.
     import doubleslit.cli
+    import doubleslit.workers
 
-    memory = doubleslit.cli._physical_memory()
+    memory = doubleslit.workers.physical_memory()
     assert memory is None or memory > 0
 
     def no_sweep(*args, **kwargs):
@@ -265,16 +279,16 @@ def test_sweep_refuses_steps_beyond_physical_memory(tmp_path, mini_config, capsy
 
     # The default grid has 65536 samples: 5 steps need exactly 5 x 65536 x 8 bytes.
     need = 5 * 65536 * 8
-    monkeypatch.setattr(doubleslit.cli, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: need - 1)
     assert run(*argv, "--steps", "5") == 2
     err = capsys.readouterr().err
     assert (f"--steps 5 needs 5 profiles of grid.n = 65536 float64 values, {need} bytes, "
             f"more than the {need - 1} bytes") in err
     assert not (tmp_path / "nested").exists()
-    monkeypatch.setattr(doubleslit.cli, "_physical_memory", lambda: need)
+    monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: need)
     with pytest.raises(AssertionError, match="run_sweep called"):
         run(*argv, "--steps", "5")
-    monkeypatch.setattr(doubleslit.cli, "_physical_memory", lambda: None)
+    monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: None)
     with pytest.raises(AssertionError, match="run_sweep called"):
         run(*argv, "--steps", "5")
 
@@ -292,8 +306,9 @@ def test_grid_beyond_physical_memory_is_refused(
     # naming grid.n.
     import doubleslit.cli
     import doubleslit.propagation
+    import doubleslit.workers
 
-    machine_memory = doubleslit.cli._physical_memory
+    machine_memory = doubleslit.workers.physical_memory
     for name in ("simulate_beamline", "field_at_mask"):
         monkeypatch.setattr(doubleslit.propagation, name, no_propagation)
     monkeypatch.setattr(doubleslit.cli, "simulate_beamline", no_propagation)
@@ -305,7 +320,7 @@ def test_grid_beyond_physical_memory_is_refused(
     # The mini config keeps the default grid.n = 65536: one field needs
     # exactly 16 x 65536 bytes.
     need = 16 * 65536
-    monkeypatch.setattr(doubleslit.cli, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: need - 1)
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert (f"error: grid.n = 65536 needs one field of 65536 complex128 values, {need} "
@@ -313,7 +328,7 @@ def test_grid_beyond_physical_memory_is_refused(
     assert "Traceback" not in err
     assert not (tmp_path / "nested").exists()
     for memory in (need, None):
-        monkeypatch.setattr(doubleslit.cli, "_physical_memory", lambda m=memory: m)
+        monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda m=memory: m)
         if command != "pattern" and memory is not None:
             # Five profiles of float64, or one frame's response stacks, need
             # more than one complex128 field.
@@ -327,7 +342,7 @@ def test_grid_beyond_physical_memory_is_refused(
 
     # 2^50 samples need 16 PiB, more than any address space: refused with the
     # machine's own memory figure.
-    monkeypatch.setattr(doubleslit.cli, "_physical_memory", machine_memory)
+    monkeypatch.setattr(doubleslit.workers, "physical_memory", machine_memory)
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(MINI_CONFIG + f"grid.n = {2**50}\n")
     argv[2] = str(cfg)
@@ -355,7 +370,7 @@ def test_buildup_refuses_frames_beyond_physical_memory(
     out = tmp_path / "nested" / "out"
     argv = ["buildup", "--config", mini_config, "--out", str(out)]
     need = 2 * 8 * 11 * 416 * 32 * 3
-    monkeypatch.setattr(doubleslit.cli, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: need - 1)
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert (f"error: frame.width = 416 and frame.height = 32 with the 11 scales of "
@@ -364,7 +379,7 @@ def test_buildup_refuses_frames_beyond_physical_memory(
     assert "Traceback" not in err
     assert not (tmp_path / "nested").exists()
     for memory in (need, None):
-        monkeypatch.setattr(doubleslit.cli, "_physical_memory", lambda m=memory: m)
+        monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda m=memory: m)
         with pytest.raises(AssertionError, match="run_buildup called"):
             run(*argv)
 
@@ -519,6 +534,37 @@ def test_detect_reports_first_bad_frame_in_input_order(tmp_path, mini_config, ca
     assert "early.pgm" in err
     assert "late.pgm" not in err
     assert not out.exists()
+
+
+def test_detect_refuses_frames_beyond_physical_memory(tmp_path, mini_config, capsys, monkeypatch):
+    # detect reads each frame's size from its file: with 3 threads, a 40 x 24
+    # frame and the default 11 scales need 2 x 8 x 11 x 40 x 24 x 3 bytes,
+    # refused after the read and before any response stack is built.
+    import doubleslit.buildup
+    import doubleslit.workers
+
+    def no_detection(*args, **kwargs):
+        raise AssertionError("detect_blobs called")
+
+    monkeypatch.setattr(doubleslit.buildup.blobdetect, "detect_blobs", no_detection)
+    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 3)
+    frame = tmp_path / "wide.pgm"
+    write_pgm(frame, np.zeros((24, 40), dtype=np.uint16))
+    out = tmp_path / "nested" / "out"
+    argv = ["detect", "--config", mini_config, "--out", str(out), str(frame)]
+    need = 2 * 8 * 11 * 40 * 24 * 3
+    monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: need - 1)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert (f"error: {frame}: 40x24 frames with the 11 scales of blob.t_min, blob.t_max "
+            f"and blob.ratio need 2 x 11 frame layers of float64 on each of 3 threads, "
+            f"{need} bytes, more than the {need - 1} bytes of physical memory") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "nested").exists()
+    for memory in (need, None):
+        monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda m=memory: m)
+        with pytest.raises(AssertionError, match="detect_blobs called"):
+            run(*argv)
 
 
 def test_missing_files_argument_is_usage_error(mini_config):

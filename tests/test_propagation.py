@@ -16,6 +16,8 @@ from doubleslit.errors import DomainError, GridConfigError
 from doubleslit.geometry import ApertureSpec, BeamlineLayout, make_double_slit
 from doubleslit.propagation import (
     GridSpec,
+    _fresnel_factors,
+    _fresnel_memo,
     WaveField,
     angular_spectrum_step,
     apply_aperture,
@@ -127,6 +129,70 @@ def test_fresnel_output_grid_geometry():
     out = fresnel_transform_step(f, 5e-3)
     assert out.dx == pytest.approx(f.wavelength * 5e-3 / (f.n * f.dx))
     assert out.x0 == pytest.approx(symmetric_grid_origin(f.n, out.dx))
+
+
+def reference_fresnel_transform_step(field, z):
+    """The single-step transform building every factor afresh on each call,
+    kept as the bit-level oracle for the reused factors."""
+    lam = field.wavelength
+    n, dx = field.n, field.dx
+    lz = lam * z
+    dx_out = lz / (n * dx)
+    x1 = field.x
+    x2 = (np.arange(n) - (n - 1) / 2) * dx_out
+    j = np.arange(n)
+    g = field.amplitudes * np.exp(1j * np.pi * x1 * x1 / lz)
+    g = g * np.exp(1j * np.pi * j * (n - 1) / n)
+    spectrum = np.fft.fft(g)
+    prefactor = dx * np.exp(-1j * np.pi / 4) / np.sqrt(lz)
+    out = (
+        prefactor
+        * np.exp(1j * np.pi * x2 * x2 / lz)
+        * np.exp(-2j * np.pi * field.x0 * x2 / lz)
+        * spectrum
+    )
+    return WaveField(x0=float(x2[0]), dx=dx_out, wavelength=lam, amplitudes=out)
+
+
+def random_field(rng, n, dx=1e-9, wavelength=5e-11):
+    amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return WaveField(x0=symmetric_grid_origin(n, dx), dx=dx, wavelength=wavelength,
+                     amplitudes=amp)
+
+
+@pytest.mark.parametrize("n", [16384, 65536])
+def test_fresnel_reused_factors_match_fresh_ones_bit_for_bit(n):
+    # From 16384 samples (256 KiB) on, the fresh factors ran through numpy's
+    # temporary elision, and the reused ones keep that operand order.  The
+    # third call on one grid and z reuses the factors; the calls on another
+    # grid or z in between start afresh.
+    rng = np.random.default_rng(n)
+    fields = [random_field(rng, n) for _ in range(3)]
+    other_grid, other_z = random_field(rng, n, dx=2e-9), random_field(rng, n)
+    calls = [(f, 0.5) for f in fields] + [(other_grid, 0.5), (other_z, 0.25), (fields[0], 0.5)]
+    for field, z in calls:
+        out = fresnel_transform_step(field, z)
+        ref = reference_fresnel_transform_step(field, z)
+        assert (out.x0, out.dx, out.wavelength) == (ref.x0, ref.dx, ref.wavelength)
+        assert np.array_equal(out.amplitudes, ref.amplitudes)
+
+
+def test_fresnel_factors_are_kept_only_for_a_repeated_grid():
+    # A single pass keeps nothing once it returns; the second call in a row
+    # with one key keeps its factors, and the third reuses them.
+    origin = symmetric_grid_origin(16384, 1e-9)
+    key, other = (16384, 1e-9, origin, 5e-11, 0.5), (16384, 1e-9, origin, 5e-11, 0.25)
+    _fresnel_factors(*key)
+    _fresnel_factors(*other)
+    assert _fresnel_memo[1] is None
+    first = _fresnel_factors(*key)
+    second = _fresnel_factors(*key)
+    assert first is not second and _fresnel_memo[1] is second
+    assert _fresnel_factors(*key) is second
+    for factor in second:
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0] = 0
 
 
 def test_gaussian_beam_width_at_rayleigh_distance():
