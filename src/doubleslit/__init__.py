@@ -35,7 +35,6 @@ from .core import (
 )
 from .errors import ConfigError, DomainError, FrameFileError, GridConfigError
 from .geometry import (
-    FULLY_BLOCKED,
     ApertureSpec,
     BeamlineLayout,
     make_double_slit,

@@ -14,7 +14,7 @@ import numpy as np
 from .core import BeamParameters
 from .errors import DomainError
 from .geometry import BeamlineLayout, make_mask, open_fraction
-from .propagation import GridSpec, IntensityProfile, field_at_mask, simulate_beamline
+from .propagation import GridSpec, IntensityProfile, simulate_beamline
 from .sampler import profile_cdf
 
 
@@ -65,18 +65,18 @@ def run_sweep(
 ) -> SweepResult:
     """Simulate the beamline at every mask center, in order.
 
-    The centers must strictly increase.  The field at the mask does not
-    depend on the mask position, so it is propagated once and shared by
-    every center.
+    The centers must strictly increase and each must give a mask; both are
+    refused before any propagation.  Each center is one beamline pass, whose
+    mask-independent half `field_at_mask` keeps while the inputs repeat.
     """
     centers = [float(c) for c in centers]
     if any(b <= a for a, b in zip(centers, centers[1:])):
         raise DomainError("mask centers must be strictly increasing")
-    at_mask = field_at_mask(layout, beam, grid)
+    masks = [make_mask(layout.mask_opening_width, c) for c in centers]
     entries = []
-    for c in centers:
-        profile = simulate_beamline(layout, beam, c, grid, at_mask=at_mask)
-        fr = open_fraction(layout.doubleslit, make_mask(layout.mask_opening_width, c))
+    for c, mask in zip(centers, masks):
+        profile = simulate_beamline(layout, beam, c, grid)
+        fr = open_fraction(layout.doubleslit, mask)
         entries.append(
             SweepEntry(
                 mask_center=c, profile=profile, fractions=fr, label=classify_fractions(*fr)

@@ -70,6 +70,8 @@ def refuse_stacks_beyond_memory(frames: str, w: int, h: int, scales: int) -> Non
 
 def run_buildup(config: RunConfig) -> BuildUpRun:
     """Sample events, render one frame per event, detect, accumulate."""
+    w, h, scales = config.frame_width, config.frame_height, config.blob_scales()
+    refuse_stacks_beyond_memory(f"frame.width = {w} and frame.height = {h}", w, h, len(scales))
     if config.n_events < 1:
         raise ConfigError(f"buildup needs sampler.n_events >= 1, got {config.n_events}")
     # Events are drawn from the both-open distribution restricted to the
@@ -83,7 +85,6 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
         config.n_events,
         config.seed,
     )
-    scales = config.blob_scales()
 
     def detect_frame(i: int) -> list[BlobDescriptor]:
         # One frame per event: frame i spans [t_i, t_{i+1}); the last frame

@@ -21,12 +21,13 @@ import numpy as np
 
 from . import blobdetect, sampler, workers
 from .analysis import run_sweep
-from .buildup import refuse_stacks_beyond_memory, run_buildup, run_detect
+from .buildup import run_buildup, run_detect
 from .config import RunConfig, config_text, load_config, parse_length
 from .core import mean_interelectron_distance
 from .errors import ConfigError, DomainError, GridConfigError
+from .geometry import make_mask
 from .pgm import MAXVAL, write_pgm
-from .propagation import IntensityProfile, simulate_beamline
+from .propagation import IntensityProfile, forget_kept, simulate_beamline
 
 
 _BLOCK_ROWS = 4096  # rows per x-column template, filled by one % call
@@ -130,6 +131,10 @@ def cmd_pattern(args) -> int:
         center = None
     else:
         center = parse_length(args.mask_center, "--mask-center")
+        try:
+            make_mask(config.mask_opening_width, center)
+        except DomainError as exc:
+            raise ConfigError(f"argument: --mask-center: {exc}") from exc
     profile = simulate_beamline(config.layout(), config.beam(), center, config.grid())
     out = _out_dir(args)
     _write_profile_csv(out / "pattern.csv", profile)
@@ -180,7 +185,10 @@ def cmd_sweep(args) -> int:
         args.steps * grid.n * 8,
     )
     centers = np.linspace(lo, hi, args.steps)
-    result = run_sweep(config.layout(), config.beam(), centers, grid)
+    try:
+        result = run_sweep(config.layout(), config.beam(), centers, grid)
+    except DomainError as exc:
+        raise ConfigError(f"argument: --from, --to and --steps: {exc}") from exc
     out = _out_dir(args)
     _write_sweep_profiles(out, [entry.profile for entry in result.entries])
     with open(out / "manifest.csv", "w", newline="") as fh:
@@ -198,10 +206,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_buildup(args) -> int:
     config = _beamline_config(args)
-    w, h = config.frame_width, config.frame_height
-    refuse_stacks_beyond_memory(
-        f"frame.width = {w} and frame.height = {h}", w, h, len(config.blob_scales())
-    )
     run = run_buildup(config)
     out = _out_dir(args)
     sampler.write_events_csv(run.events, out / "events.csv")
@@ -299,6 +303,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        forget_kept()  # a command keeps no propagation result once it returns
 
 
 if __name__ == "__main__":

@@ -60,13 +60,6 @@ class ApertureSpec:
                 clipped.append((c, d))
         return ApertureSpec(tuple(clipped))
 
-    def reflected(self) -> "ApertureSpec":
-        """Mirror image about x = 0."""
-        return ApertureSpec(tuple(sorted((-hi, -lo) for lo, hi in self.open_intervals)))
-
-
-FULLY_BLOCKED = ApertureSpec(())
-
 
 def make_double_slit(width: float, separation: float) -> ApertureSpec:
     """Two slits of `width` centered at ±separation/2 (center-to-center).

@@ -19,6 +19,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import wraps
 
 import numpy as np
 
@@ -193,19 +194,31 @@ def angular_spectrum_step(field: WaveField, z: float) -> WaveField:
     return replace(field, amplitudes=out)
 
 
-# The key (n, dx, x0, wavelength, z) of the last Fresnel step, and its
-# factors once that key has come twice in a row: every pass of a sweep after
-# the second reuses them, while a command that runs one pass keeps nothing.
-_fresnel_memo: list = [None, None]
+# Function name -> (last key, kept result or None); cli.main empties it.
+_kept: dict = {}
+forget_kept = _kept.clear
 
 
+def _keep_on_repeat(build):
+    """Keep build(*key)'s result once the same key comes twice in a row, so a
+    sweep reuses it from its third pass on and a one-pass command keeps nothing;
+    each pair is read and written whole, so no thread gets another key's result."""
+    @wraps(build)
+    def keep(*key):
+        last, kept = _kept.get(build.__name__, (None, None))
+        if kept is not None and key == last:
+            return kept
+        value = build(*key)
+        _kept[build.__name__] = (key, value if key == last else None)
+        return value
+
+    return keep
+
+
+@_keep_on_repeat
 def _fresnel_factors(n: int, dx: float, x0: float, lam: float, z: float) -> tuple:
     """fresnel_transform_step's input chirp, half-sample shift and output
     factor, read-only; they depend on the grid and z alone."""
-    key = (n, dx, x0, lam, z)
-    last, kept = _fresnel_memo
-    if kept is not None and key == last:
-        return kept
     lz = lam * z
     x1 = x0 + np.arange(n) * dx
     chirp_in = np.exp(1j * np.pi * x1 * x1 / lz)
@@ -220,7 +233,6 @@ def _fresnel_factors(n: int, dx: float, x0: float, lam: float, z: float) -> tupl
     factors = (chirp_in, shift, chirp_out)
     for factor in factors:
         factor.flags.writeable = False
-    _fresnel_memo[:] = [key, factors if key == last else None]
     return factors
 
 
@@ -312,16 +324,17 @@ def _check_support(aperture: ApertureSpec, window: float, name: str) -> None:
         )
 
 
+@_keep_on_repeat
 def field_at_mask(
     layout: BeamlineLayout,
     beam: BeamParameters,
     grid: GridSpec,
 ) -> WaveField:
-    """Field arriving at the mask plane, before the mask.
+    """Field arriving at the mask plane, before the mask, read-only.
 
     Composition: unit plane wave -> double slit -> spectral step over the
     slit/mask gap.  Nothing here depends on the mask position, so a sweep
-    computes it once and passes it to every beamline pass as `at_mask`.
+    reuses it at every mask center (see _keep_on_repeat).
     """
     n, dx = grid.n, grid.dx
     x0 = symmetric_grid_origin(n, dx)
@@ -329,7 +342,9 @@ def field_at_mask(
     plane_wave = np.ones(n, dtype=np.complex128)
     field = WaveField(x0=x0, dx=dx, wavelength=beam.wavelength, amplitudes=plane_wave)
     field = apply_aperture(field, layout.doubleslit)
-    return angular_spectrum_step(field, layout.z_doubleslit_to_mask)
+    field = angular_spectrum_step(field, layout.z_doubleslit_to_mask)
+    field.amplitudes.flags.writeable = False
+    return field
 
 
 def simulate_detector_field(
@@ -337,7 +352,6 @@ def simulate_detector_field(
     beam: BeamParameters,
     mask_center: float | None,
     grid: GridSpec,
-    at_mask: WaveField | None = None,
 ) -> WaveField:
     """Field at the detector plane, after magnification.
 
@@ -347,21 +361,8 @@ def simulate_detector_field(
     blocks everything and yields a zero field on the detector grid.  Passing
     mask_center=None removes the mask, the reference for quantifying how
     little a centered mask disturbs the pattern.
-
-    at_mask, when given, is the result of field_at_mask for the same
-    layout, beam and grid; it replaces that computation, which is then
-    skipped.  Only its grid (n, dx, x0) and wavelength are checked: a field
-    computed for another slit layout is not detected and gives a wrong
-    detector field.
     """
-    if at_mask is None:
-        field = field_at_mask(layout, beam, grid)
-    elif (at_mask.n, at_mask.dx, at_mask.x0, at_mask.wavelength) != (
-        grid.n, grid.dx, symmetric_grid_origin(grid.n, grid.dx), beam.wavelength
-    ):
-        raise DomainError("at_mask field was not computed on this grid and beam")
-    else:
-        field = at_mask
+    field = field_at_mask(layout, beam, grid)
     if mask_center is not None:
         mask = make_mask(layout.mask_opening_width, mask_center)
         mask = mask.intersect(*field.window)
@@ -377,14 +378,13 @@ def simulate_beamline(
     mask_center: float | None,
     grid: GridSpec,
     normalize: bool = True,
-    at_mask: WaveField | None = None,
 ) -> IntensityProfile:
     """Detector-plane intensity for one mask position.
 
     With normalize=True the profile integrates to 1 (detection density);
     with normalize=False it keeps the flux implied by unit incident
     amplitude, which is the right gauge for comparing flux across mask
-    positions or slit subsets.  at_mask is as in simulate_detector_field.
+    positions or slit subsets.
     """
-    field = simulate_detector_field(layout, beam, mask_center, grid, at_mask)
+    field = simulate_detector_field(layout, beam, mask_center, grid)
     return intensity_profile(field, normalize=normalize)

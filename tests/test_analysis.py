@@ -181,14 +181,17 @@ def test_sweep_labels_and_orderings(small_sweep_setup):
 def test_sweep_refuses_unordered_centers_before_propagating(small_sweep_setup, monkeypatch):
     import doubleslit.analysis
 
-    def no_field(*args, **kwargs):
-        raise AssertionError("field_at_mask called")
+    def no_pass(*args, **kwargs):
+        raise AssertionError("simulate_beamline called")
 
-    monkeypatch.setattr(doubleslit.analysis, "field_at_mask", no_field)
+    monkeypatch.setattr(doubleslit.analysis, "simulate_beamline", no_pass)
     layout, beam, grid = small_sweep_setup
     for centers in ([2.8e-6, -2.8e-6], [0.0, 1e-6, 1e-6], [-1e-6, 1e-6, 0.0]):
         with pytest.raises(DomainError, match="strictly increasing"):
             run_sweep(layout, beam, centers, grid)
+    # A center too large to hold the mask opening is refused as well.
+    with pytest.raises(DomainError, match="degenerate aperture interval"):
+        run_sweep(layout, beam, [0.0, 1e300], grid)
 
 
 def test_sweep_matches_fresh_beamline_loop(small_sweep_setup):

@@ -9,7 +9,7 @@ import pytest
 from doubleslit.cli import _write_profile_csv, _x_column, main
 from doubleslit.errors import DomainError
 from doubleslit.pgm import read_pgm, write_pgm
-from doubleslit.propagation import IntensityProfile
+from doubleslit.propagation import IntensityProfile, _kept
 
 MINI_CONFIG = """\
 sampler.n_events = 30
@@ -139,6 +139,9 @@ def test_sweep_manifest(tmp_path, mini_config):
     for row in rows:
         assert (out / row[5]).exists()
     assert (out / "sweep.meta").exists()
+    # The kept at-mask field and Fresnel factors end with the command, so
+    # the next command in this process propagates afresh.
+    assert not _kept
 
 
 def test_sweep_rejects_degenerate_ranges(tmp_path, mini_config, capsys):
@@ -359,13 +362,10 @@ def test_buildup_refuses_frames_beyond_physical_memory(
     # Each detection thread holds 2 float64 layers per scale of one frame:
     # with 3 threads, the default 416 x 32 frame and its 11 scales need
     # 2 x 8 x 11 x 416 x 32 x 3 bytes, refused before any propagation.
-    import doubleslit.cli
+    import doubleslit.propagation
     import doubleslit.workers
 
-    def no_buildup(*args, **kwargs):
-        raise AssertionError("run_buildup called")
-
-    monkeypatch.setattr(doubleslit.cli, "run_buildup", no_buildup)
+    monkeypatch.setattr(doubleslit.propagation, "simulate_beamline", no_propagation)
     monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 3)
     out = tmp_path / "nested" / "out"
     argv = ["buildup", "--config", mini_config, "--out", str(out)]
@@ -380,7 +380,7 @@ def test_buildup_refuses_frames_beyond_physical_memory(
     assert not (tmp_path / "nested").exists()
     for memory in (need, None):
         monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda m=memory: m)
-        with pytest.raises(AssertionError, match="run_buildup called"):
+        with pytest.raises(AssertionError, match="propagation reached"):
             run(*argv)
 
 
@@ -643,14 +643,22 @@ def test_negative_seed_flag_is_blamed_on_the_flag(tmp_path, mini_config, capsys)
         ("blob.t_min = 30", ["buildup"]),  # fewer than 3 blob scales
         ("sampler.n_events = 0", ["buildup"]),
         ("", ["detect", "missing.pgm"]),
+        ("", ["pattern", "--mask-center", "1e300 m"]),  # no room for the opening
+        ("", ["sweep", "--from", "1e300 m", "--to", "2e300 m", "--steps", "2"]),
+        ("", ["sweep", "--from", "1 m", "--to", "1.0000000000000002 m", "--steps", "3"]),
     ],
 )
-def test_failed_run_leaves_no_output_directory(tmp_path, config, argv):
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys, config, argv):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config + "\nrun.seed = 7\n")
     out = tmp_path / "nested" / "out"
     assert run(*argv, "--config", str(cfg), "--out", str(out)) in (2, 3)
     assert not (tmp_path / "nested").exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if not config and argv[0] != "detect":
+        # A refusal of the command line names the flag it refuses.
+        assert any(flag in err for flag in argv[1::2]), err
 
 
 def test_output_directory_comes_from_out_alone(tmp_path, capsys, monkeypatch):

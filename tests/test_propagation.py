@@ -5,6 +5,7 @@ can be compared sample-by-sample.  Tolerances here are far below the
 acceptance thresholds because the agreement is at machine precision on
 well-sampled fields.
 """
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +18,13 @@ from doubleslit.geometry import ApertureSpec, BeamlineLayout, make_double_slit
 from doubleslit.propagation import (
     GridSpec,
     _fresnel_factors,
-    _fresnel_memo,
+    _kept,
     WaveField,
     angular_spectrum_step,
     apply_aperture,
     direct_integral_reference,
     field_at_mask,
+    forget_kept,
     fresnel_transform_step,
     intensity_profile,
     magnify,
@@ -177,22 +179,32 @@ def test_fresnel_reused_factors_match_fresh_ones_bit_for_bit(n):
         assert np.array_equal(out.amplitudes, ref.amplitudes)
 
 
-def test_fresnel_factors_are_kept_only_for_a_repeated_grid():
+def repeat_keys(build):
+    """Two keys of `build` for test_kept_only_for_a_repeated_key."""
+    if build is _fresnel_factors:
+        origin = symmetric_grid_origin(16384, 1e-9)
+        return (16384, 1e-9, origin, 5e-11, 0.5), (16384, 1e-9, origin, 5e-11, 0.25)
+    layout = BeamlineLayout(230e-6, 0.5, 10.0, make_double_slit(50e-9, 280e-9), 5e-6)
+    grid = GridSpec(window=8e-6, n=8192)
+    return (layout, BeamParameters(600.0), grid), (layout, BeamParameters(700.0), grid)
+
+
+@pytest.mark.parametrize("build", [_fresnel_factors, field_at_mask], ids=lambda f: f.__name__)
+def test_kept_only_for_a_repeated_key(build):
     # A single pass keeps nothing once it returns; the second call in a row
-    # with one key keeps its factors, and the third reuses them.
-    origin = symmetric_grid_origin(16384, 1e-9)
-    key, other = (16384, 1e-9, origin, 5e-11, 0.5), (16384, 1e-9, origin, 5e-11, 0.25)
-    _fresnel_factors(*key)
-    _fresnel_factors(*other)
-    assert _fresnel_memo[1] is None
-    first = _fresnel_factors(*key)
-    second = _fresnel_factors(*key)
-    assert first is not second and _fresnel_memo[1] is second
-    assert _fresnel_factors(*key) is second
-    for factor in second:
-        assert not factor.flags.writeable
+    # with one key keeps its result, and the third reuses it, read-only.
+    key, other = repeat_keys(build)
+    build(*key)
+    build(*other)
+    assert _kept[build.__name__][1] is None
+    first = build(*key)
+    second = build(*key)
+    assert first is not second and _kept[build.__name__][1] is second
+    assert build(*key) is second
+    for array in second if build is _fresnel_factors else (second.amplitudes,):
+        assert not array.flags.writeable
         with pytest.raises(ValueError):
-            factor[0] = 0
+            array[0] = 0
 
 
 def test_gaussian_beam_width_at_rayleigh_distance():
@@ -340,25 +352,37 @@ def test_mask_outside_grid_window_blocks_everything(experiment_setup):
 
 @pytest.mark.parametrize("mask_center", [None, 0.0, -2.52e-6, 40e-6])
 def test_at_mask_field_reproduces_full_pass(experiment_setup, mask_center):
+    # The first of three passes in a row builds everything, the second keeps
+    # the at-mask field and the Fresnel factors, the third reuses them.
     beam, layout, grid = experiment_setup
-    at_mask = field_at_mask(layout, beam, grid)
-    full = simulate_detector_field(layout, beam, mask_center, grid)
-    shared = simulate_detector_field(layout, beam, mask_center, grid, at_mask=at_mask)
-    assert (shared.x0, shared.dx) == (full.x0, full.dx)
-    assert np.array_equal(shared.amplitudes, full.amplitudes)
+    forget_kept()
+    first, second, third = (
+        simulate_detector_field(layout, beam, mask_center, grid) for _ in range(3)
+    )
+    assert _kept["field_at_mask"][1] is not None
+    for out in (second, third):
+        assert (out.x0, out.dx) == (first.x0, first.dx)
+        assert np.array_equal(out.amplitudes, first.amplitudes)
 
 
-def test_at_mask_field_must_match_grid(experiment_setup):
-    from dataclasses import replace
-
+@pytest.mark.parametrize("change", ["layout", "beam", "grid"])
+def test_pass_after_a_kept_field_matches_a_fresh_one(experiment_setup, change):
+    # A kept at-mask field belongs to its slit layout, beam and grid alone:
+    # the next pass on any other one equals a pass with nothing kept.
     beam, layout, grid = experiment_setup
-    half = GridSpec(window=grid.window / 2, n=grid.n // 2)
-    at_mask = field_at_mask(layout, beam, half)
-    with pytest.raises(DomainError):
-        simulate_beamline(layout, beam, 0.0, grid, at_mask=at_mask)
-    shifted = replace(field_at_mask(layout, beam, grid), x0=0.0)
-    with pytest.raises(DomainError):
-        simulate_beamline(layout, beam, 0.0, grid, at_mask=shifted)
+    other = {
+        "layout": (replace(layout, doubleslit=make_double_slit(60e-9, 300e-9)), beam, grid),
+        "beam": (layout, BeamParameters(700.0), grid),
+        "grid": (layout, beam, GridSpec(window=grid.window / 2, n=grid.n // 2)),
+    }[change]
+    for _ in range(3):
+        simulate_detector_field(layout, beam, 0.0, grid)
+    assert _kept["field_at_mask"][1] is not None
+    after = simulate_detector_field(*other[:2], 0.0, other[2])
+    forget_kept()
+    fresh = simulate_detector_field(*other[:2], 0.0, other[2])
+    assert (after.x0, after.dx) == (fresh.x0, fresh.dx)
+    assert np.array_equal(after.amplitudes, fresh.amplitudes)
 
 
 def test_default_p12_profile_converges_in_grid_size():
