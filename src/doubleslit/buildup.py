@@ -69,11 +69,20 @@ def refuse_stacks_beyond_memory(frames: str, w: int, h: int, scales: int) -> Non
 
 
 def run_buildup(config: RunConfig) -> BuildUpRun:
-    """Sample events, render one frame per event, detect, accumulate."""
+    """Sample events, render one frame per event, detect, accumulate.
+
+    Refused before any propagation: frames whose response stacks exceed
+    physical memory, and an event count whose three float64 draws per
+    event do; the draws are a lower bound on what the events need.
+    """
     w, h, scales = config.frame_width, config.frame_height, config.blob_scales()
     refuse_stacks_beyond_memory(f"frame.width = {w} and frame.height = {h}", w, h, len(scales))
-    if config.n_events < 1:
-        raise ConfigError(f"buildup needs sampler.n_events >= 1, got {config.n_events}")
+    n = config.n_events
+    if n < 1:
+        raise ConfigError(f"buildup needs sampler.n_events >= 1, got {n}")
+    workers.refuse_beyond_memory(
+        f"sampler.n_events = {n} needs 3 x {n} float64 draws", 3 * 8 * n
+    )
     # Events are drawn from the both-open distribution restricted to the
     # analyzed pattern.
     full = propagation.simulate_beamline(config.layout(), config.beam(), 0.0, config.grid())

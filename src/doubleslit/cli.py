@@ -63,6 +63,11 @@ def _write_profile_csv(
             fh.write(block % tuple(profile.values[lo : lo + _BLOCK_ROWS].tolist()))
 
 
+def _value_text(value) -> str:
+    """A .meta or metrics.txt value: floats to 17 significant digits."""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
 def _write_meta(path: Path, config: RunConfig, extras: dict) -> None:
     lines = [
         "# effective configuration",
@@ -70,11 +75,7 @@ def _write_meta(path: Path, config: RunConfig, extras: dict) -> None:
         "# keys marked 'assumed' are free choices, not measured values",
         "# derived quantities",
     ]
-    for key, value in extras.items():
-        if isinstance(value, float):
-            lines.append(f"{key} = {value:.17g}")
-        else:
-            lines.append(f"{key} = {value}")
+    lines += [f"{key} = {_value_text(value)}" for key, value in extras.items()]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -135,6 +136,13 @@ def cmd_pattern(args) -> int:
             make_mask(config.mask_opening_width, center)
         except DomainError as exc:
             raise ConfigError(f"argument: --mask-center: {exc}") from exc
+    if args.image:
+        w, h = config.frame_width, config.frame_height
+        workers.refuse_beyond_memory(
+            f"--image with frame.width = {w} and frame.height = {h} needs "
+            f"one frame of {w} x {h} float64 values",
+            8 * w * h,
+        )
     profile = simulate_beamline(config.layout(), config.beam(), center, config.grid())
     out = _out_dir(args)
     _write_profile_csv(out / "pattern.csv", profile)
@@ -214,11 +222,7 @@ def cmd_buildup(args) -> int:
         write_pgm(out / f"buildup_{count:06d}.pgm", _to_pgm_scaled(canvas))
     write_pgm(out / "buildup_final.pgm", _to_pgm_scaled(run.result.canvas))
     with open(out / "metrics.txt", "w") as fh:
-        for key, value in run.metrics.items():
-            if isinstance(value, float):
-                fh.write(f"{key}={value:.17g}\n")
-            else:
-                fh.write(f"{key}={value}\n")
+        fh.writelines(f"{key}={_value_text(value)}\n" for key, value in run.metrics.items())
     extras = _derived(config)
     extras["buildup.sampling_half_width_m"] = config.sampling_half_width()
     _write_meta(out / "buildup.meta", config, extras)

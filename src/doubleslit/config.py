@@ -102,19 +102,20 @@ class RunConfig:
     def grid(self) -> GridSpec:
         return GridSpec(window=self.grid_window, n=self.grid_n)
 
-    def fringe_period(self) -> float:
+    def _far_field_scale(self) -> float:
+        # Magnified lambda * L: divided by a slit length, a detector length.
         span = self.mask_distance + self.detector_distance
-        lam = self.beam().wavelength
-        return self.magnification * lam * span / self.slit_separation
+        return self.magnification * self.beam().wavelength * span
+
+    def fringe_period(self) -> float:
+        return self._far_field_scale() / self.slit_separation
 
     def sampling_half_width(self) -> float:
         # The analyzed pattern is the central five interference orders.
         return 2.5 * self.fringe_period()
 
     def envelope_scale(self) -> float:
-        span = self.mask_distance + self.detector_distance
-        lam = self.beam().wavelength
-        return self.magnification * lam * span / self.slit_width
+        return self._far_field_scale() / self.slit_width
 
     def height_band(self) -> float:
         return self.slit_height * self.magnification

@@ -2,10 +2,10 @@
 
 Randomness contract: every draw comes from PCG64 seeded with
 SeedSequence((master_seed, stream, chunk_index)), where `stream` labels the
-kind of variate and draws are consumed in fixed chunks of 1024.  Event i
-always uses the i-th variate of chunk i // 1024, so extending a run or
-generating disjoint index ranges in parallel reproduces the sequential
-output bit for bit.
+kind of variate and draws are consumed in fixed chunks of 1024.  A run of
+n events reads the first n variates of each stream, so event i always uses
+variate i % 1024 of chunk i // 1024: a longer run extends a shorter one bit
+for bit, and any one chunk can be drawn on its own from its key.
 """
 from __future__ import annotations
 
@@ -33,18 +33,14 @@ def _chunk_generator(seed: int, stream: int, chunk_index: int) -> np.random.Gene
     )
 
 
-def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """Uniform variates for global draw indices [start, start + count)."""
+def _uniforms(seed: int, stream: int, count: int) -> np.ndarray:
+    """The first `count` uniform variates of a stream, chunk by chunk."""
+    if count < 0:
+        raise DomainError(f"event count must be nonnegative, got {count}")
     out = np.empty(count)
-    filled = 0
-    chunk_first = start // CHUNK
-    chunk_last = (start + count - 1) // CHUNK if count else chunk_first - 1
-    for ci in range(chunk_first, chunk_last + 1):
-        block = _chunk_generator(seed, stream, ci).random(CHUNK)
-        lo = max(start, ci * CHUNK)
-        hi = min(start + count, (ci + 1) * CHUNK)
-        out[filled : filled + hi - lo] = block[lo - ci * CHUNK : hi - ci * CHUNK]
-        filled += hi - lo
+    for lo in range(0, count, CHUNK):
+        block = _chunk_generator(seed, stream, lo // CHUNK).random(CHUNK)
+        out[lo : lo + CHUNK] = block[: count - lo]
     return out
 
 
@@ -89,9 +85,7 @@ def sample_positions(profile: IntensityProfile, n_events: int, seed: int) -> np.
     CDF is piecewise linear.
     """
     edges, cdf = profile_cdf(profile)
-    if n_events < 0:
-        raise DomainError(f"event count must be nonnegative, got {n_events}")
-    u = _uniforms(seed, STREAM_POSITION, 0, n_events)
+    u = _uniforms(seed, STREAM_POSITION, n_events)
     idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, profile.n - 1)
     width = cdf[idx + 1] - cdf[idx]
     frac = np.where(width > 0, (u - cdf[idx]) / np.where(width > 0, width, 1.0), 0.0)
@@ -105,9 +99,7 @@ def sample_arrival_times(rate: float, n_events: int, seed: int) -> np.ndarray:
     """
     if not rate > 0:
         raise DomainError(f"detection rate must be positive, got {rate}")
-    if n_events < 0:
-        raise DomainError(f"event count must be nonnegative, got {n_events}")
-    u = _uniforms(seed, STREAM_GAP, 0, n_events)
+    u = _uniforms(seed, STREAM_GAP, n_events)
     gaps = -np.log1p(-u) / rate
     return np.cumsum(gaps)
 
@@ -116,7 +108,7 @@ def sample_heights(band: float, n_events: int, seed: int) -> np.ndarray:
     """Vertical positions, uniform over the magnified slit-height band."""
     if not band > 0:
         raise DomainError(f"height band must be positive, got {band}")
-    u = _uniforms(seed, STREAM_HEIGHT, 0, n_events)
+    u = _uniforms(seed, STREAM_HEIGHT, n_events)
     return (u - 0.5) * band
 
 

@@ -384,6 +384,61 @@ def test_buildup_refuses_frames_beyond_physical_memory(
             run(*argv)
 
 
+def test_buildup_refuses_events_beyond_physical_memory(tmp_path, capsys, monkeypatch):
+    # Each event takes one float64 draw from each of three streams, so
+    # 10^15 events need at least 3 x 8 x 10^15 bytes: refused before any
+    # propagation, and before any draw.
+    import doubleslit.propagation
+    import doubleslit.workers
+
+    monkeypatch.setattr(doubleslit.propagation, "simulate_beamline", no_propagation)
+    cfg = tmp_path / "many.cfg"
+    cfg.write_text("sampler.n_events = 1e15\nrun.seed = 7\n")
+    out = tmp_path / "nested" / "out"
+    argv = ["buildup", "--config", str(cfg), "--out", str(out)]
+    need = 3 * 8 * 10**15
+    monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: need - 1)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert (f"error: sampler.n_events = {10**15} needs 3 x {10**15} float64 draws, "
+            f"{need} bytes, more than the {need - 1} bytes of physical memory") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "nested").exists()
+    for memory in (need, None):
+        monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda m=memory: m)
+        with pytest.raises(AssertionError, match="propagation reached"):
+            run(*argv)
+
+
+def test_pattern_image_refuses_frame_beyond_physical_memory(tmp_path, capsys, monkeypatch):
+    # --image resamples the profile onto one float64 frame of width x height
+    # values, refused before any propagation; without --image the frame
+    # size is not read.
+    import doubleslit.cli
+    import doubleslit.workers
+
+    monkeypatch.setattr(doubleslit.cli, "simulate_beamline", no_propagation)
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("frame.width = 1e7\nframe.height = 1e7\nrun.seed = 7\n")
+    out = tmp_path / "nested" / "out"
+    argv = ["pattern", "--config", str(cfg), "--out", str(out)]
+    need = 8 * 10**14
+    monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: need - 1)
+    assert run(*argv, "--image") == 2
+    err = capsys.readouterr().err
+    assert (f"error: --image with frame.width = {10**7} and frame.height = {10**7} needs "
+            f"one frame of {10**7} x {10**7} float64 values, {need} bytes, more than the "
+            f"{need - 1} bytes of physical memory") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "nested").exists()
+    with pytest.raises(AssertionError, match="propagation reached"):
+        run(*argv)
+    for memory in (need, None):
+        monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda m=memory: m)
+        with pytest.raises(AssertionError, match="propagation reached"):
+            run(*argv, "--image")
+
+
 def test_buildup_outputs(tmp_path, mini_config):
     out = tmp_path / "run"
     assert run("buildup", "--config", mini_config, "--out", str(out)) == 0

@@ -9,6 +9,7 @@ from doubleslit.propagation import IntensityProfile
 from doubleslit.sampler import (
     CHUNK,
     DetectionEvent,
+    _chunk_generator,
     _uniforms,
     make_events,
     render_frame,
@@ -34,19 +35,33 @@ def test_rng_pin_vectors():
     # chunk_index)), consumed in chunks of 1024 doubles.  These vectors
     # freeze the contract; any change to it must fail here.
     assert CHUNK == 1024
-    got = _uniforms(12345, 0, 0, 4)
+    got = _uniforms(12345, 0, 4)
     assert got == pytest.approx(
         [0.22733602246716966, 0.31675833970975287,
          0.79736545733273412, 0.67625467075097456], abs=0.0)
-    got = _uniforms(12345, 1, 0, 2)
+    got = _uniforms(12345, 1, 2)
     assert got == pytest.approx(
         [0.47774941235295809, 0.2091006743637982], abs=0.0)
 
 
 def test_rng_chunk_boundary_is_seamless():
-    straight = _uniforms(SEED, 0, 0, CHUNK + 3)[CHUNK - 2 : CHUNK + 3]
-    offset = _uniforms(SEED, 0, CHUNK - 2, 5)
-    assert np.array_equal(straight, offset)
+    # A prefix read crosses the 1024-draw boundary from the end of chunk 0
+    # straight into the start of chunk 1, each drawn on its own from its key.
+    straight = _uniforms(SEED, 0, CHUNK + 3)[CHUNK - 2 : CHUNK + 3]
+    chunk0 = _chunk_generator(SEED, 0, 0).random(CHUNK)
+    chunk1 = _chunk_generator(SEED, 0, 1).random(CHUNK)
+    assert np.array_equal(straight, np.concatenate([chunk0[-2:], chunk1[:3]]))
+
+
+@pytest.mark.parametrize("draw", [
+    lambda n: sample_positions(uniform_profile(), n, SEED),
+    lambda n: sample_arrival_times(1.0, n, SEED),
+    lambda n: sample_heights(1.0, n, SEED),
+], ids=["positions", "arrival_times", "heights"])
+def test_negative_event_count_is_refused(draw):
+    with pytest.raises(DomainError, match="event count must be nonnegative, got -1"):
+        draw(-1)
+    assert draw(0).shape == (0,)
 
 
 def test_prefix_stability():
