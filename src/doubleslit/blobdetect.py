@@ -31,12 +31,11 @@ class BlobDescriptor:
 
 @dataclass(frozen=True, eq=False)
 class BuildUpResult:
-    """Final canvas (the long-exposure stand-in), a copy of it at each
-    reached checkpoint count, and the out-of-canvas tally."""
+    """Final canvas (the long-exposure stand-in) and a copy of it at each
+    reached checkpoint count."""
 
     canvas: np.ndarray
     snapshots: dict[int, np.ndarray]
-    skipped: int
 
 
 # Each scale is one frame-sized float64 layer of the response stack, and the
@@ -228,8 +227,9 @@ def accumulate_buildup(
     """Stamp each blob as a unit-integral Gaussian of its detected scale.
 
     Snapshots of the canvas are recorded when the accumulated count reaches
-    each configured checkpoint.  Blobs whose center lies outside the canvas
-    are tallied and skipped.
+    each configured checkpoint.  A blob whose center lies outside the
+    canvas is refused: `detect_blobs` keeps every blob of a frame inside
+    that frame, so such a blob was found on another canvas.
     """
     if width < 1 or height < 1:
         raise DomainError(f"canvas dimensions must be positive, got {width}x{height}")
@@ -241,11 +241,11 @@ def accumulate_buildup(
     rows = np.arange(height)
     snapshots: dict[int, np.ndarray] = {}
     n = 0
-    skipped = 0
     for blob in blobs:
         if not (0 <= blob.x <= width - 1 and 0 <= blob.y <= height - 1):
-            skipped += 1
-            continue
+            raise DomainError(
+                f"blob at ({blob.x}, {blob.y}) px lies outside the {width}x{height} canvas"
+            )
         t = blob.scale_t
         gx = np.exp(-((cols - blob.x) ** 2) / (2 * t))
         gy = np.exp(-((rows - blob.y) ** 2) / (2 * t))
@@ -253,7 +253,7 @@ def accumulate_buildup(
         n += 1
         if n in marks:
             snapshots[n] = canvas.copy()
-    return BuildUpResult(canvas=canvas, snapshots=snapshots, skipped=skipped)
+    return BuildUpResult(canvas=canvas, snapshots=snapshots)
 
 
 def write_blobs_csv(rows, path: str | Path) -> None:

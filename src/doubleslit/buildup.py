@@ -131,13 +131,12 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
     )
     # Recovered positions in meters, for the end-to-end consistency metric.
     xs_px = np.array([b.x for b in blobs])
-    xs_m = (xs_px - (config.frame_width - 1) / 2) * config.frame_pitch
+    xs_m = sampler.pixel_offsets(xs_px, config.frame_width) * config.frame_pitch
     ks_events = analysis.ks_distance([e.x for e in events], source)
     ks_final = analysis.ks_distance(xs_m, source) if blobs else float("nan")
     metrics = {
         "n_events": len(events),
         "n_blobs": len(blobs),
-        "blobs_outside_canvas": result.skipped,
         "ks_events": ks_events,
         "ks_final": ks_final,
     }

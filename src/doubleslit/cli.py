@@ -109,8 +109,8 @@ def _to_pgm_scaled(canvas: np.ndarray) -> np.ndarray:
 
 def _profile_image(profile: IntensityProfile, config: RunConfig) -> np.ndarray:
     # Resample onto the camera pixel grid and repeat over the sensor height.
-    cols = (np.arange(config.frame_width) - (config.frame_width - 1) / 2)
-    px = cols * config.frame_pitch
+    w = config.frame_width
+    px = sampler.pixel_offsets(np.arange(w), w) * config.frame_pitch
     row = np.interp(px, profile.x, profile.values, left=0.0, right=0.0)
     return _to_pgm_scaled(np.tile(row, (config.frame_height, 1)))
 

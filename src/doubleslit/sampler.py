@@ -61,6 +61,12 @@ class Frame:
     counts: np.ndarray
 
 
+def pixel_offsets(index, size: int):
+    """Offset of pixel `index` from the optical axis along a frame axis of
+    `size` pixels, in pitches: pixel k sits at k - (size - 1) / 2."""
+    return index - (size - 1) / 2
+
+
 def profile_cdf(profile: IntensityProfile) -> tuple[np.ndarray, np.ndarray]:
     """Piecewise-linear CDF of a normalized profile at its cell edges.
 
@@ -152,8 +158,8 @@ def render_frame(
         raise DomainError(f"psf width must be positive, got {psf_sigma}")
     if background_rate < 0:
         raise DomainError(f"background rate must be nonnegative, got {background_rate}")
-    cols = np.arange(width) - (width - 1) / 2
-    rows = np.arange(height) - (height - 1) / 2
+    cols = pixel_offsets(np.arange(width), width)
+    rows = pixel_offsets(np.arange(height), height)
     canvas = np.zeros((height, width))
     for ev in events:
         if not t0 <= ev.t < t1:

@@ -197,7 +197,6 @@ def test_accumulate_buildup_snapshots():
     ]
     result = accumulate_buildup(blobs, width=64, height=16, checkpoints=(2, 7, 10))
     assert sorted(result.snapshots) == [2, 7, 10]
-    assert result.skipped == 0
     # Unit-integral stamps: canvas mass grows with the count (minus what
     # leaks off the canvas edges).
     m2 = result.snapshots[2].sum()
@@ -207,17 +206,24 @@ def test_accumulate_buildup_snapshots():
     assert np.array_equal(result.snapshots[10], result.canvas)
 
 
-def test_accumulate_skips_out_of_canvas_blobs():
-    blobs = [
-        BlobDescriptor(x=-5.0, y=8.0, scale_t=9.0, response=-500.0),
+def test_accumulate_refuses_out_of_canvas_blobs():
+    inside = [
+        BlobDescriptor(x=0.0, y=0.0, scale_t=9.0, response=-500.0),
         BlobDescriptor(x=30.0, y=8.0, scale_t=9.0, response=-500.0),
+        BlobDescriptor(x=63.0, y=15.0, scale_t=9.0, response=-500.0),
+    ]
+    outside = [
+        BlobDescriptor(x=-5.0, y=8.0, scale_t=9.0, response=-500.0),
+        BlobDescriptor(x=64.5, y=8.0, scale_t=9.0, response=-500.0),
         BlobDescriptor(x=30.0, y=99.0, scale_t=9.0, response=-500.0),
     ]
-    # One blob stamped: the count reaches checkpoint 1 but not 2.
-    result = accumulate_buildup(blobs, width=64, height=16, checkpoints=(1, 2))
-    assert sorted(result.snapshots) == [1]
-    assert np.array_equal(result.snapshots[1], result.canvas)
-    assert result.skipped == 2
+    # Every on-canvas blob is stamped, up to the last checkpoint.
+    result = accumulate_buildup(inside, width=64, height=16, checkpoints=(1, 3))
+    assert sorted(result.snapshots) == [1, 3]
+    assert np.array_equal(result.snapshots[3], result.canvas)
+    for blob in outside:
+        with pytest.raises(DomainError, match="outside the 64x16 canvas"):
+            accumulate_buildup(inside + [blob], width=64, height=16)
 
 
 def test_accumulate_rejects_bad_canvas():

@@ -14,7 +14,7 @@ from doubleslit.errors import ConfigError
 
 KEYS = [f.metadata["key"] for f in fields(RunConfig)]
 
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=300, database=None)
+PROPERTY = settings(max_examples=300)
 
 # Number-like text: signs, stray dots, exponents up to four digits (so
 # overflow to inf is reached) and every unit suffix, well-placed or not.

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from doubleslit.errors import FrameFileError
 from doubleslit.pgm import read_pgm, write_pgm
 
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=300, database=None)
+PROPERTY = settings(max_examples=300)
 
 IMAGES = arrays(
     np.uint16,

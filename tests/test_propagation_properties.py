@@ -26,7 +26,7 @@ from doubleslit.propagation import (
     symmetric_grid_origin,
 )
 
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=200, database=None)
+PROPERTY = settings(max_examples=200)
 
 
 @PROPERTY

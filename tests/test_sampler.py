@@ -4,6 +4,7 @@ import csv
 import numpy as np
 import pytest
 
+from doubleslit.blobdetect import detect_blobs, geometric_scales
 from doubleslit.errors import DomainError
 from doubleslit.propagation import IntensityProfile
 from doubleslit.sampler import (
@@ -12,6 +13,7 @@ from doubleslit.sampler import (
     _chunk_generator,
     _uniforms,
     make_events,
+    pixel_offsets,
     render_frame,
     sample_arrival_times,
     sample_heights,
@@ -156,6 +158,23 @@ def test_render_places_spot_at_subpixel_position():
     peak = np.unravel_index(np.argmax(frame.counts), frame.counts.shape)
     assert peak == (5, 19)  # center row 5, center col 16 + 3
     assert frame.counts[peak] == 1000
+
+
+@pytest.mark.parametrize("width, height", [(47, 31), (48, 32), (47, 32), (48, 31)])
+def test_pixel_convention_round_trips_through_detection(width, height):
+    # Pixel k sits k - (size - 1) / 2 pitches from the axis, on both axes.
+    assert pixel_offsets(np.arange(width), width)[[0, -1]].tolist() == [
+        -(width - 1) / 2, (width - 1) / 2
+    ]
+    pitch = 12e-6
+    ladder = geometric_scales(2.0, 30.0, 1.3)
+    for kx, ky in [(-5, -3), (0, 0), (4, 2), (2.37, 1.61), (-0.5, -0.81)]:
+        ev = one_event(kx * pitch, y=ky * pitch)
+        frame = render_frame([ev], (0.0, 1.0), 3.0, 0.0, SEED,
+                             width=width, height=height, pitch=pitch, amplitude=1000.0)
+        (blob,) = detect_blobs(frame.counts, ladder)
+        assert pixel_offsets(blob.x, width) * pitch == pytest.approx(ev.x, abs=0.01 * pitch)
+        assert pixel_offsets(blob.y, height) * pitch == pytest.approx(ev.y, abs=0.01 * pitch)
 
 
 def test_render_spot_mass_matches_gaussian_integral():
