@@ -9,7 +9,6 @@ which is what ties detected scales to spot widths.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -259,16 +258,9 @@ def accumulate_buildup(
 def write_blobs_csv(rows, path: str | Path) -> None:
     """Rows are (frame_index, t_s, blob) triples."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "t_s", "x_px", "y_px", "scale_t", "response"])
+        fh.write("frame,t_s,x_px,y_px,scale_t,response\n")
         for frame_index, t_s, blob in rows:
-            writer.writerow(
-                [
-                    frame_index,
-                    f"{t_s:.17g}",
-                    f"{blob.x:.17g}",
-                    f"{blob.y:.17g}",
-                    f"{blob.scale_t:.17g}",
-                    f"{blob.response:.17g}",
-                ]
+            fh.write(
+                f"{frame_index},{t_s:.17g},{blob.x:.17g},{blob.y:.17g},"
+                f"{blob.scale_t:.17g},{blob.response:.17g}\n"
             )

@@ -27,7 +27,7 @@ from .core import mean_interelectron_distance
 from .errors import ConfigError, DomainError, GridConfigError
 from .geometry import make_mask
 from .pgm import MAXVAL, write_pgm
-from .propagation import IntensityProfile, forget_kept, simulate_beamline
+from .propagation import PASS_FIELDS, IntensityProfile, forget_kept, simulate_beamline
 
 
 _BLOCK_ROWS = 4096  # rows per x-column template, filled by one % call
@@ -43,17 +43,13 @@ def _x_column(profile: IntensityProfile) -> list[str]:
     ]
 
 
-def _write_profile_csv(
-    path: Path, profile: IntensityProfile, xs: list[str] | None = None
-) -> None:
+def _write_profile_csv(path: Path, profile: IntensityProfile, xs: list[str]) -> None:
     """Write `x_m,intensity` rows with 17 significant digits.
 
-    xs is _x_column(profile), passed in when many profiles share one grid
-    so that the column is formatted once.  A column of another length is
-    refused before the file is opened.
+    xs is _x_column of a profile on the same grid, formatted once when many
+    profiles share it.  A column of another length is refused before the
+    file is opened.
     """
-    if xs is None:
-        xs = _x_column(profile)
     rows = _BLOCK_ROWS * (len(xs) - 1) + xs[-1].count("\n") if xs else 0
     if rows != profile.n:
         raise DomainError(f"x column of {rows} rows for a profile of {profile.n} values")
@@ -116,12 +112,14 @@ def _profile_image(profile: IntensityProfile, config: RunConfig) -> np.ndarray:
 
 
 def _beamline_config(args) -> RunConfig:
-    """The config of a command that propagates, refused when one complex128
-    field of grid.n values would not fit in physical memory."""
+    """The config of a command that propagates, refused when one beamline
+    pass, PASS_FIELDS complex128 fields of grid.n values, would not fit in
+    physical memory."""
     config = load_config(args.config, args.seed)
     n = config.grid_n
     workers.refuse_beyond_memory(
-        f"grid.n = {n} needs one field of {n} complex128 values", 16 * n
+        f"grid.n = {n} needs {PASS_FIELDS} fields of {n} complex128 values for one pass",
+        PASS_FIELDS * 16 * n,
     )
     return config
 
@@ -145,7 +143,7 @@ def cmd_pattern(args) -> int:
         )
     profile = simulate_beamline(config.layout(), config.beam(), center, config.grid())
     out = _out_dir(args)
-    _write_profile_csv(out / "pattern.csv", profile)
+    _write_profile_csv(out / "pattern.csv", profile, _x_column(profile))
     extras = _derived(config)
     extras["pattern.mask_center_m"] = "none" if center is None else float(center)
     _write_meta(out / "pattern.meta", config, extras)
@@ -186,11 +184,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--steps must be at least 2, got {args.steps}")
     if not lo < hi:
         raise ConfigError(f"--from ({args.start}) must be below --to ({args.stop})")
-    # A sweep holds every profile's float64 values until it writes them.
+    # A sweep holds every profile's float64 values and one pass's fields;
+    # checked here, since linspace would allocate the centres first.
     grid = config.grid()
     workers.refuse_beyond_memory(
-        f"--steps {args.steps} needs {args.steps} profiles of grid.n = {grid.n} float64 values",
-        args.steps * grid.n * 8,
+        f"--steps {args.steps} needs {args.steps} profiles of grid.n = {grid.n} float64 "
+        f"values and one pass of {PASS_FIELDS} complex128 fields",
+        args.steps * grid.n * 8 + PASS_FIELDS * 16 * grid.n,
     )
     centers = np.linspace(lo, hi, args.steps)
     try:

@@ -30,6 +30,7 @@ ENERGY_UNITS = {"eV": 1.0, "keV": 1e3}
 RATE_UNITS = {"Hz": 1.0}
 
 _NUMBER_RE = re.compile(r"^([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([A-Za-z]*)$")
+_DIGITS_RE = re.compile(r"[-+]?[0-9]+")
 
 
 def _key(
@@ -131,8 +132,8 @@ _FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
 def _parse_scalar(key: str, kind: str, text: str, where: str):
     if kind == "int_list":
         try:
-            values = tuple(int(tok) for tok in text.split(","))
-        except ValueError:
+            values = tuple(_parse_scalar(key, "int", t.strip(), where) for t in text.split(","))
+        except ConfigError:
             raise ConfigError(f"{where}: {key} must be a comma-separated integer list")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError(f"{where}: {key} must be strictly increasing")
@@ -141,6 +142,12 @@ def _parse_scalar(key: str, kind: str, text: str, where: str):
         if text == "auto":
             return None
         kind = "float"
+    if kind == "int" and _DIGITS_RE.fullmatch(text):
+        # Digits parse exactly; int() may refuse more than 4300 of them.
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"{where}: cannot parse number {text!r} for {key}")
     m = _NUMBER_RE.match(text)
     if not m:
         raise ConfigError(f"{where}: cannot parse value {text!r} for {key}")
@@ -163,8 +170,11 @@ def _parse_scalar(key: str, kind: str, text: str, where: str):
     if not math.isfinite(value):
         raise ConfigError(f"{where}: {key} must be finite, got {text!r}")
     if kind == "int":
-        if value != int(value):
-            raise ConfigError(f"{where}: {key} must be an integer")
+        # A float holds every integer below 2^53 exactly; 2^53 + 1 reads as 2^53.
+        if value != int(value) or abs(value) >= 2**53:
+            raise ConfigError(
+                f"{where}: {key} must be an integer, and below 2^53 unless written as digits"
+            )
         return int(value)
     return value
 

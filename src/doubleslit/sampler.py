@@ -9,7 +9,6 @@ for bit, and any one chunk can be drawn on its own from its key.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -178,7 +177,6 @@ def render_frame(
 
 def write_events_csv(events: list[DetectionEvent], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "t_s", "x_m", "y_m"])
+        fh.write("index,t_s,x_m,y_m\n")
         for ev in events:
-            writer.writerow([ev.index, f"{ev.t:.17g}", f"{ev.x:.17g}", f"{ev.y:.17g}"])
+            fh.write(f"{ev.index},{ev.t:.17g},{ev.x:.17g},{ev.y:.17g}\n")

@@ -1,4 +1,5 @@
 """Command-line interface: outputs, determinism, exit codes."""
+import csv
 import multiprocessing
 import os
 import signal
@@ -104,11 +105,8 @@ def test_profile_writer_matches_per_row_reference(tmp_path, x0, dx):
     for i, profile in enumerate(profiles):
         expected = tmp_path / f"ref_{i}.csv"
         reference_write_profile_csv(expected, profile)
-        single = tmp_path / f"single_{i}.csv"
-        _write_profile_csv(single, profile)
         shared = tmp_path / f"shared_{i}.csv"
         _write_profile_csv(shared, profile, xs)
-        assert single.read_bytes() == expected.read_bytes()
         assert shared.read_bytes() == expected.read_bytes()
 
 
@@ -261,8 +259,8 @@ def test_sweep_writer_killed_by_a_signal_is_named(tmp_path, mini_config, capsys,
 
 
 def test_sweep_refuses_steps_beyond_physical_memory(tmp_path, mini_config, capsys, monkeypatch):
-    # A sweep holds steps x grid.n float64 values; refused before any
-    # allocation or propagation, naming --steps.
+    # A sweep holds steps x grid.n float64 values and one pass's fields;
+    # refused before any allocation or propagation, naming --steps.
     import doubleslit.cli
     import doubleslit.workers
 
@@ -280,13 +278,14 @@ def test_sweep_refuses_steps_beyond_physical_memory(tmp_path, mini_config, capsy
     assert "--steps 1000000000000" in err and "Traceback" not in err
     assert not (tmp_path / "nested").exists()
 
-    # The default grid has 65536 samples: 5 steps need exactly 5 x 65536 x 8 bytes.
-    need = 5 * 65536 * 8
+    # The default grid has 65536 samples: 5 steps need exactly
+    # 5 x 65536 x 8 bytes of profiles and 9 x 16 x 65536 bytes for a pass.
+    need = 5 * 65536 * 8 + 9 * 16 * 65536
     monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: need - 1)
     assert run(*argv, "--steps", "5") == 2
     err = capsys.readouterr().err
-    assert (f"--steps 5 needs 5 profiles of grid.n = 65536 float64 values, {need} bytes, "
-            f"more than the {need - 1} bytes") in err
+    assert (f"--steps 5 needs 5 profiles of grid.n = 65536 float64 values and one pass "
+            f"of 9 complex128 fields, {need} bytes, more than the {need - 1} bytes") in err
     assert not (tmp_path / "nested").exists()
     monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: need)
     with pytest.raises(AssertionError, match="run_sweep called"):
@@ -304,9 +303,9 @@ def no_propagation(*args, **kwargs):
 def test_grid_beyond_physical_memory_is_refused(
     tmp_path, mini_config, capsys, monkeypatch, command
 ):
-    # Every pass holds complex128 fields of grid.n values; a grid.n whose one
-    # field exceeds physical memory is refused before any propagation,
-    # naming grid.n.
+    # Every pass holds 9 complex128 fields of grid.n values at its peak; a
+    # grid.n whose pass exceeds physical memory is refused before any
+    # propagation, naming grid.n.
     import doubleslit.cli
     import doubleslit.propagation
     import doubleslit.workers
@@ -316,29 +315,31 @@ def test_grid_beyond_physical_memory_is_refused(
         monkeypatch.setattr(doubleslit.propagation, name, no_propagation)
     monkeypatch.setattr(doubleslit.cli, "simulate_beamline", no_propagation)
     monkeypatch.setattr(doubleslit.cli, "run_sweep", no_propagation)
+    # One detection thread: its frame's response stacks, 2.3 MB, fit in
+    # one pass, so buildup's next check does not depend on the CPU count.
+    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 1)
     out = tmp_path / "nested" / "out"
     argv = [command, "--config", mini_config, "--out", str(out)]
     argv += SWEEP_ARGS if command == "sweep" else ()
 
-    # The mini config keeps the default grid.n = 65536: one field needs
-    # exactly 16 x 65536 bytes.
-    need = 16 * 65536
+    # The mini config keeps the default grid.n = 65536: one pass needs
+    # exactly 9 x 16 x 65536 bytes.
+    need = 9 * 16 * 65536
     monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: need - 1)
     assert run(*argv) == 2
     err = capsys.readouterr().err
-    assert (f"error: grid.n = 65536 needs one field of 65536 complex128 values, {need} "
-            f"bytes, more than the {need - 1} bytes of physical memory") in err
+    assert (f"error: grid.n = 65536 needs 9 fields of 65536 complex128 values for one pass, "
+            f"{need} bytes, more than the {need - 1} bytes of physical memory") in err
     assert "Traceback" not in err
     assert not (tmp_path / "nested").exists()
     for memory in (need, None):
         monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda m=memory: m)
-        if command != "pattern" and memory is not None:
-            # Five profiles of float64, or one frame's response stacks, need
-            # more than one complex128 field.
+        if command == "sweep" and memory is not None:
+            # Five profiles of float64 need more than one pass alone.
             assert run(*argv) == 2
             err = capsys.readouterr().err
             assert "grid.n = 65536 needs" not in err
-            assert ("--steps 5 needs" if command == "sweep" else "frame.width = 416") in err
+            assert "--steps 5 needs" in err
             continue
         with pytest.raises(AssertionError, match="propagation reached"):
             run(*argv)
@@ -351,7 +352,8 @@ def test_grid_beyond_physical_memory_is_refused(
     argv[2] = str(cfg)
     assert run(*argv) == 2
     err = capsys.readouterr().err
-    assert f"grid.n = {2**50} needs one field of {2**50} complex128 values, {2**54} bytes" in err
+    assert (f"grid.n = {2**50} needs 9 fields of {2**50} complex128 values for one pass, "
+            f"{9 * 2**54} bytes") in err
     assert "Traceback" not in err
     assert not (tmp_path / "nested").exists()
 
@@ -360,22 +362,23 @@ def test_buildup_refuses_frames_beyond_physical_memory(
     tmp_path, mini_config, capsys, monkeypatch
 ):
     # Each detection thread holds 2 float64 layers per scale of one frame:
-    # with 3 threads, the default 416 x 32 frame and its 11 scales need
-    # 2 x 8 x 11 x 416 x 32 x 3 bytes, refused before any propagation.
+    # with 6 threads, the default 416 x 32 frame and its 11 scales need
+    # 2 x 8 x 11 x 416 x 32 x 6 bytes, refused before any propagation.
+    # That is more than one pass of the default grid, which is checked first.
     import doubleslit.propagation
     import doubleslit.workers
 
     monkeypatch.setattr(doubleslit.propagation, "simulate_beamline", no_propagation)
-    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 3)
+    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 6)
     out = tmp_path / "nested" / "out"
     argv = ["buildup", "--config", mini_config, "--out", str(out)]
-    need = 2 * 8 * 11 * 416 * 32 * 3
+    need = 2 * 8 * 11 * 416 * 32 * 6
     monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: need - 1)
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert (f"error: frame.width = 416 and frame.height = 32 with the 11 scales of "
             f"blob.t_min, blob.t_max and blob.ratio need 2 x 11 frame layers of float64 "
-            f"on each of 3 threads, {need} bytes, more than the {need - 1} bytes") in err
+            f"on each of 6 threads, {need} bytes, more than the {need - 1} bytes") in err
     assert "Traceback" not in err
     assert not (tmp_path / "nested").exists()
     for memory in (need, None):
@@ -487,6 +490,27 @@ def test_seed_flag_overrides_config(tmp_path, mini_config):
     bare.write_text("sampler.n_events = 5\n")
     assert run("pattern", "--config", str(bare), "--out", str(tmp_path / "c"),
                "--seed", "3") == 0
+
+
+def test_every_text_output_has_one_format(tmp_path, mini_config):
+    # Every table is a header row and comma-separated rows as wide as it,
+    # and no text output ends a line with CRLF.
+    out = tmp_path / "all"
+    assert run("pattern", "--config", mini_config, "--out", str(out / "p"), "--image") == 0
+    assert run("sweep", "--config", mini_config, "--out", str(out / "s"),
+               "--from", "-2.8 um", "--to", "2.8 um", "--steps", "3") == 0
+    assert run("buildup", "--config", mini_config, "--out", str(out / "b")) == 0
+    assert run("detect", "--config", mini_config, "--out", str(out / "d"),
+               str(out / "b" / "buildup_final.pgm")) == 0
+    texts = sorted(p for p in out.rglob("*") if p.suffix in (".csv", ".txt", ".meta"))
+    assert {p.name for p in texts} >= {"pattern.csv", "manifest.csv", "events.csv",
+                                       "blobs.csv", "buildup_final_blobs.csv", "metrics.txt"}
+    assert [p.name for p in texts if b"\r" in p.read_bytes()] == []
+    for path in texts:
+        if path.suffix == ".csv":
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and {len(row) for row in rows} == {len(header)}, path.name
 
 
 def spot_image(shape, spots):

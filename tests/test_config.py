@@ -221,6 +221,37 @@ def test_checkpoints_must_be_an_integer_list():
         from_text("buildup.checkpoints = 5,x")
 
 
+def test_integers_parse_exactly_with_one_grammar(tmp_path):
+    # Digits go through int(), exactly, as the --seed flag does.
+    seed = 2**64 - 1
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(f"run.seed = {seed}\n")
+    assert load_config(str(cfg)).seed == seed == load_config(None, seed).seed
+    assert from_text("sampler.n_events = 9007199254740993").n_events == 2**53 + 1
+    assert from_text(f"run.seed = {'9' * 400}", seed=False).seed == 10**400 - 1
+    # A '.' or an exponent goes through float(), integral and below 2^53.
+    assert from_text("grid.n = 65536.0\nsampler.n_events = 1e3").n_events == 1000
+    for text in ("sampler.n_events = 1e16", "sampler.n_events = 9007199254740993.0",
+                 "sampler.n_events = 2.5"):
+        with pytest.raises(ConfigError, match="must be an integer, and below 2\\^53"):
+            from_text(text)
+    with pytest.raises(ConfigError, match="cannot parse"):
+        from_text("sampler.n_events = 7_0")
+    # Each checkpoint is read by the same rule.
+    assert from_text("buildup.checkpoints = +5, 1e3").checkpoints == (5, 1000)
+    for marks in ("7_0", "2.5", "1e16"):
+        with pytest.raises(ConfigError, match="must be a comma-separated integer list"):
+            from_text(f"buildup.checkpoints = {marks}")
+    # int() may refuse more than 4300 digits: then it is a parse error.
+    try:
+        int("9" * 4301)
+    except ValueError:
+        with pytest.raises(ConfigError, match="cannot parse number"):
+            from_text(f"run.seed = {'9' * 4301}", seed=False)
+        with pytest.raises(ConfigError, match="must be a comma-separated integer list"):
+            from_text(f"buildup.checkpoints = {'4' * 4301}")
+
+
 def test_every_field_declares_one_key():
     keys = [f.metadata["key"] for f in fields(RunConfig)]
     assert len(keys) == len(set(keys)) == 25
