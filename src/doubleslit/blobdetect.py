@@ -38,8 +38,9 @@ class BuildUpResult:
 
 
 # Each scale is one frame-sized float64 layer of the response stack, and the
-# MAD holds a flattened copy of the stack, so a frame in flight costs two
-# layers per scale; the default ladder has 11.
+# MAD holds a flattened copy of the stack, so a frame in flight costs
+# LAYERS_PER_SCALE layers per scale; the default ladder has 11.
+LAYERS_PER_SCALE = 2
 MAX_SCALES = 64
 
 

@@ -58,13 +58,14 @@ def restrict_profile(profile: IntensityProfile, half_width: float) -> IntensityP
 
 def refuse_stacks_beyond_memory(frames: str, w: int, h: int, scales: int) -> None:
     """Refuse w x h frames whose response stacks would exceed physical
-    memory: each detection thread holds one frame's stack, a float64 layer
-    per scale, and the stack's flattened copy for the MAD."""
+    memory: each detection thread holds blobdetect.LAYERS_PER_SCALE float64
+    frame layers per scale."""
     jobs = workers.worker_count()
+    layers = blobdetect.LAYERS_PER_SCALE
     workers.refuse_beyond_memory(
-        f"{frames} with the {scales} scales of blob.t_min, blob.t_max and "
-        f"blob.ratio need 2 x {scales} frame layers of float64 on each of {jobs} threads",
-        2 * 8 * scales * w * h * jobs,
+        f"{frames} with the {scales} scales of blob.t_min, blob.t_max and blob.ratio "
+        f"need {layers} x {scales} frame layers of float64 on each of {jobs} threads",
+        layers * 8 * scales * w * h * jobs,
     )
 
 
@@ -72,16 +73,17 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
     """Sample events, render one frame per event, detect, accumulate.
 
     Refused before any propagation: frames whose response stacks exceed
-    physical memory, and an event count whose three float64 draws per
-    event do; the draws are a lower bound on what the events need.
+    physical memory, and an event count whose float64 draws per event
+    do; the draws are a lower bound on what the events need.
     """
     w, h, scales = config.frame_width, config.frame_height, config.blob_scales()
     refuse_stacks_beyond_memory(f"frame.width = {w} and frame.height = {h}", w, h, len(scales))
     n = config.n_events
     if n < 1:
         raise ConfigError(f"buildup needs sampler.n_events >= 1, got {n}")
+    draws = sampler.DRAWS_PER_EVENT
     workers.refuse_beyond_memory(
-        f"sampler.n_events = {n} needs 3 x {n} float64 draws", 3 * 8 * n
+        f"sampler.n_events = {n} needs {draws} x {n} float64 draws", draws * 8 * n
     )
     # Events are drawn from the both-open distribution restricted to the
     # analyzed pattern.

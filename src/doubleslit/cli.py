@@ -22,7 +22,7 @@ import numpy as np
 from . import blobdetect, sampler, workers
 from .analysis import run_sweep
 from .buildup import run_buildup, run_detect
-from .config import RunConfig, config_text, load_config, parse_length
+from .config import RunConfig, config_text, load_config, parse_integer, parse_length
 from .core import mean_interelectron_distance
 from .errors import ConfigError, DomainError, GridConfigError
 from .geometry import make_mask
@@ -111,11 +111,17 @@ def _profile_image(profile: IntensityProfile, config: RunConfig) -> np.ndarray:
     return _to_pgm_scaled(np.tile(row, (config.frame_height, 1)))
 
 
+def _config(args) -> RunConfig:
+    """--config with --seed, read by the config keys' integer grammar."""
+    seed = None if args.seed is None else parse_integer(args.seed, "--seed")
+    return load_config(args.config, seed)
+
+
 def _beamline_config(args) -> RunConfig:
     """The config of a command that propagates, refused when one beamline
     pass, PASS_FIELDS complex128 fields of grid.n values, would not fit in
     physical memory."""
-    config = load_config(args.config, args.seed)
+    config = _config(args)
     n = config.grid_n
     workers.refuse_beyond_memory(
         f"grid.n = {n} needs {PASS_FIELDS} fields of {n} complex128 values for one pass",
@@ -180,19 +186,20 @@ def cmd_sweep(args) -> int:
     config = _beamline_config(args)
     lo = parse_length(args.start, "--from")
     hi = parse_length(args.stop, "--to")
-    if args.steps < 2:
-        raise ConfigError(f"--steps must be at least 2, got {args.steps}")
+    steps = parse_integer(args.steps, "--steps")
+    if steps < 2:
+        raise ConfigError(f"--steps must be at least 2, got {steps}")
     if not lo < hi:
         raise ConfigError(f"--from ({args.start}) must be below --to ({args.stop})")
     # A sweep holds every profile's float64 values and one pass's fields;
     # checked here, since linspace would allocate the centres first.
     grid = config.grid()
     workers.refuse_beyond_memory(
-        f"--steps {args.steps} needs {args.steps} profiles of grid.n = {grid.n} float64 "
+        f"--steps {steps} needs {steps} profiles of grid.n = {grid.n} float64 "
         f"values and one pass of {PASS_FIELDS} complex128 fields",
-        args.steps * grid.n * 8 + PASS_FIELDS * 16 * grid.n,
+        steps * grid.n * 8 + PASS_FIELDS * 16 * grid.n,
     )
-    centers = np.linspace(lo, hi, args.steps)
+    centers = np.linspace(lo, hi, steps)
     try:
         result = run_sweep(config.layout(), config.beam(), centers, grid)
     except DomainError as exc:
@@ -235,7 +242,7 @@ def cmd_buildup(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    config = load_config(args.config, args.seed)
+    config = _config(args)
     # Every output lands in one directory, named after its input's stem.
     targets = [Path(name).stem + "_blobs.csv" for name in args.files]
     first = {}
@@ -256,7 +263,7 @@ def cmd_detect(args) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="config file path")
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed override")
+    sub.add_argument("--seed", default=None, help="RNG seed override")
     sub.add_argument("--out", default="out", help="output directory (default: out)")
 
 
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--from", dest="start", required=True, help="first mask center")
     p.add_argument("--to", dest="stop", required=True, help="last mask center")
-    p.add_argument("--steps", type=int, required=True, help="number of centers (>= 2)")
+    p.add_argument("--steps", required=True, help="number of centers (>= 2)")
     p.set_defaults(handler=cmd_sweep)
 
     p = commands.add_parser("buildup", help="event sampling through blob detection")

@@ -147,7 +147,8 @@ def _parse_scalar(key: str, kind: str, text: str, where: str):
         try:
             return int(text)
         except ValueError:
-            raise ConfigError(f"{where}: cannot parse number {text!r} for {key}")
+            digits = len(text.lstrip("+-"))
+            raise ConfigError(f"{where}: cannot parse number of {digits} digits for {key}")
     m = _NUMBER_RE.match(text)
     if not m:
         raise ConfigError(f"{where}: cannot parse value {text!r} for {key}")
@@ -194,6 +195,11 @@ def _check_bound(key: str, bound: str | None, value, where: str) -> None:
 def parse_length(text: str, name: str) -> float:
     """Parse a command-line length such as '230 um' or '-2.52e-6 m'."""
     return _parse_scalar(name, "length", text.strip(), "argument")
+
+
+def parse_integer(text: str, name: str) -> int:
+    """Parse a command-line integer by the config keys' integer grammar."""
+    return _parse_scalar(name, "int", text.strip(), "argument")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:

@@ -16,12 +16,10 @@ MAXVAL = 65535
 
 def write_pgm(path: str | Path, counts: np.ndarray) -> None:
     arr = np.asarray(counts)
-    if arr.ndim != 2:
-        raise FrameFileError(f"image must be 2D, got shape {arr.shape}")
-    if arr.dtype != np.uint16:
-        if np.any(arr < 0) or np.any(arr > MAXVAL):
-            raise FrameFileError("image values outside the 16-bit range")
-        arr = arr.astype(np.uint16)
+    if arr.ndim != 2 or arr.dtype != np.uint16:
+        raise FrameFileError(
+            f"image must be a 2D uint16 array, got {arr.dtype} of shape {arr.shape}"
+        )
     h, w = arr.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n{MAXVAL}\n".encode("ascii"))

@@ -24,6 +24,8 @@ STREAM_POSITION = 0
 STREAM_GAP = 1
 STREAM_HEIGHT = 2
 STREAM_BACKGROUND = 3
+# Float64 draws per event: one each from the position, gap and height streams.
+DRAWS_PER_EVENT = 3
 
 
 def _chunk_generator(seed: int, stream: int, chunk_index: int) -> np.random.Generator:

@@ -3,6 +3,7 @@ import csv
 import multiprocessing
 import os
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -711,6 +712,33 @@ def test_negative_seed_flag_is_blamed_on_the_flag(tmp_path, mini_config, capsys)
     assert not out.exists()
 
 
+def test_seed_flag_reads_like_the_seed_key(tmp_path, mini_config):
+    key = tmp_path / "key.cfg"
+    key.write_text(MINI_CONFIG.replace("run.seed = 7", "run.seed = 1e3"))
+    flag, by_key = tmp_path / "flag", tmp_path / "by_key"
+    assert run("buildup", "--config", mini_config, "--seed", "1e3", "--out", str(flag)) == 0
+    assert run("buildup", "--config", str(key), "--out", str(by_key)) == 0
+    names = sorted(p.name for p in flag.iterdir())
+    assert names == sorted(p.name for p in by_key.iterdir())
+    for name in names:
+        assert (flag / name).read_bytes() == (by_key / name).read_bytes(), name
+    assert "run.seed = 1000\n" in (flag / "buildup.meta").read_text()
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="int() reads digits of any length on this interpreter",
+)
+def test_overlong_seed_flag_is_named_by_its_length(tmp_path, mini_config, capsys):
+    digits = sys.get_int_max_str_digits() + 1
+    out = tmp_path / "run"
+    assert run("pattern", "--config", mini_config, "--out", str(out), "--seed", "9" * digits) == 2
+    err = capsys.readouterr().err
+    assert f"cannot parse number of {digits} digits for --seed" in err
+    assert len(err.encode()) < 200
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "config,argv",
     [
@@ -725,6 +753,10 @@ def test_negative_seed_flag_is_blamed_on_the_flag(tmp_path, mini_config, capsys)
         ("", ["pattern", "--mask-center", "1e300 m"]),  # no room for the opening
         ("", ["sweep", "--from", "1e300 m", "--to", "2e300 m", "--steps", "2"]),
         ("", ["sweep", "--from", "1 m", "--to", "1.0000000000000002 m", "--steps", "3"]),
+        # int() reads these as 70; the config's integer grammar refuses them.
+        ("", ["pattern", "--seed", "7_0"]),
+        ("", ["sweep", "--from", "0", "--to", "1 um", "--steps", "7_0"]),
+        ("", ["pattern", "--seed", "\u0667\u0660"]),
     ],
 )
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys, config, argv):

@@ -9,9 +9,11 @@ that would break the benchmark fail the unit tests instead.  `run.py
 from one invocation that skips a required step in the next shows up here,
 on small inputs, rather than only in a traced benchmark run.
 """
+import ast
 import importlib.util
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -52,6 +54,34 @@ def test_workload_prepares_valid_invocation(workloads, tmp_path, workload):
         assert len(args.files) == len(prep.truth) == prep.items
         assert all(Path(f).is_file() for f in args.files)
         assert all(len(t) == w.PER_FRAME for t in prep.truth)
+
+
+def root_imports(path: Path):
+    """Non-module names a file imports from the package root."""
+    in_package = path.parent.name == "doubleslit"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+            (node.level, node.module) == (0, "doubleslit")
+            or (in_package and (node.level, node.module) == (1, None))
+        ):
+            for alias in node.names:
+                if importlib.util.find_spec(f"doubleslit.{alias.name}") is None:
+                    yield alias.name
+
+
+def test_package_root_exports_only_what_the_benchmark_imports():
+    # Every other name has one import path: the module that defines it.
+    import doubleslit
+
+    exported = {
+        name
+        for name, value in vars(doubleslit).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    bench = {name for path in ROOT.glob("perfbench/*.py") for name in root_imports(path)}
+    assert bench == exported
+    rest = [*ROOT.glob("src/doubleslit/*.py"), *ROOT.glob("tests/*.py")]
+    assert [(path.name, name) for path in rest for name in root_imports(path)] == []
 
 
 @pytest.fixture(scope="module")

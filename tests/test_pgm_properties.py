@@ -3,6 +3,8 @@
 `detect` reads its frames on worker threads, so any other exception from
 read_pgm would reach the command line as a traceback from the pool.
 """
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,17 @@ def read_only_frame_file_error(path, raw: bytes) -> None:
     except FrameFileError:
         return
     assert image.dtype == np.uint16 and image.ndim == 2
+
+
+@pytest.mark.parametrize(
+    "image,got",
+    [(np.zeros((8, 8)), "float64 of shape (8, 8)"), (np.zeros(8, np.uint16), "uint16 of shape (8,)")],
+)
+def test_write_takes_only_2d_uint16_images(tmp_path, image, got):
+    path = tmp_path / "frame.pgm"
+    with pytest.raises(FrameFileError, match=re.escape(f"image must be a 2D uint16 array, got {got}")):
+        write_pgm(path, image)
+    assert not path.exists()
 
 
 @PROPERTY
