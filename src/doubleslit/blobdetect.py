@@ -38,8 +38,10 @@ class BuildUpResult:
 
 
 # Each scale is one frame-sized float64 layer of the response stack, and the
-# MAD holds a flattened copy of the stack, so a frame in flight costs
-# LAYERS_PER_SCALE layers per scale; the default ladder has 11.
+# exact MAD holds a flattened copy of the stack.  The auto threshold makes
+# that copy only when its counting proof fails, but the memory refusals
+# count this worst case, so a frame in flight costs LAYERS_PER_SCALE layers
+# per scale; the default ladder has 11.
 LAYERS_PER_SCALE = 2
 MAX_SCALES = 64
 
@@ -101,9 +103,11 @@ def scale_space_response(frame, scales) -> np.ndarray:
     arr = _validate_scales(scales)
     img = np.asarray(frame, dtype=np.float64)
     stack = np.empty((arr.size,) + img.shape)
+    smoothed = np.empty(img.shape)
     for k, t in enumerate(arr):
-        smoothed = ndimage.gaussian_filter(img, sigma=np.sqrt(t), mode="mirror")
-        stack[k] = t * ndimage.laplace(smoothed, mode="mirror")
+        ndimage.gaussian_filter(img, sigma=np.sqrt(t), output=smoothed, mode="mirror")
+        ndimage.laplace(smoothed, output=stack[k], mode="mirror")
+        stack[k] *= t
     return stack
 
 
@@ -134,29 +138,98 @@ def _mad(stack: np.ndarray) -> float:
     return _median_in_place(flat)
 
 
-def _thresholded_minima(stack: np.ndarray, threshold: float) -> np.ndarray:
-    """Voxels below -threshold that are minima of their 3x3x3 neighbourhood.
+def _finite_peak(stack: np.ndarray) -> float:
+    """max |stack|, refused unless finite (NaN and inf reach max or min)."""
+    # abs() only turns a peak of -0.0 into +0.0, as np.abs would.
+    peak = abs(max(stack.max(), -stack.min()))
+    if not np.isfinite(peak):
+        raise DomainError("blob detection needs a finite frame; its response has NaN or inf")
+    return peak
+
+
+# Multiplier of the MAD in the auto threshold, and the floor's share of the peak.
+_MAD_SIGMAS = 7.0 * 1.4826
+_PEAK_FLOOR = 1e-3
+# The median bracket comes from every _SAMPLE_STRIDE-th voxel; 61 is coprime
+# with the frame width, so the sample does not line up with columns.  A
+# stack with a smaller sample than _SAMPLE_MIN takes the exact MAD, which
+# is cheap at that size.
+_SAMPLE_STRIDE = 61
+_SAMPLE_MIN = 100
+# Below this peak no sum or difference that `_mad` forms can overflow.
+_NO_OVERFLOW_PEAK = np.finfo(np.float64).max / 4
+
+
+def _auto_threshold(stack: np.ndarray, peak: float) -> float:
+    """max(_MAD_SIGMAS * MAD, _PEAK_FLOOR * peak), bit for bit, where MAD is
+    `_mad(stack)` and peak is `_finite_peak(stack)`.
+
+    Before paying for the two full partitions of `_mad`, try to prove by
+    counting that the floor wins.  The 48 % and 52 % order statistics
+    a <= b of a strided sample are checked, by counting, to hold both
+    middle order statistics of the stack, so the median, and the float
+    mean `_mad` takes of them, lies in [a, b].  Then every voxel in
+    [b - c, a + c] is within c of that median, and if more than half of
+    the voxels are there, the MAD is at most c.  c steps down from
+    floor / _MAD_SIGMAS until _MAD_SIGMAS * c <= floor holds in floating
+    point, and each rounded count bound is moved one ulp inward, so the
+    proof holds for the values `_mad` computes.  Any failed step falls
+    back to the exact `_mad`.
+    """
+    floor = _PEAK_FLOOR * peak
+    flat = stack.ravel()
+    n = flat.size
+    sample = flat[::_SAMPLE_STRIDE]
+    m = sample.size
+    if m >= _SAMPLE_MIN and 0 < peak <= _NO_OVERFLOW_PEAK:
+        ia, ib = (m * 48) // 100, (m * 52) // 100
+        part = np.partition(sample, [ia, ib])
+        a, b = part[ia], part[ib]
+        c = floor / _MAD_SIGMAS
+        while _MAD_SIGMAS * c > floor:
+            c = np.nextafter(c, 0.0)
+        lo = np.nextafter(b - c, np.inf)
+        hi = np.nextafter(a + c, -np.inf)
+        if (
+            lo <= hi
+            and np.count_nonzero(flat < a) <= (n - 1) // 2
+            and np.count_nonzero(flat <= b) >= n // 2 + 1
+            and np.count_nonzero(flat <= hi) - np.count_nonzero(flat < lo) >= n // 2 + 1
+        ):
+            return floor
+    return max(_MAD_SIGMAS * _mad(stack), floor)
+
+
+def _thresholded_minima(stack: np.ndarray, threshold: float) -> tuple[np.ndarray, ...]:
+    """Indices (k, i, j), in C order, of the voxels below -threshold that
+    are minima of their 3x3x3 neighbourhood.
 
     The first and last scale layers are excluded: a spot larger than the
-    ladder top must not alias into the boundary layer.  The minimum filter
-    (nearest-mode borders) runs only on the bounding box of the voxels below
-    -threshold plus a one-voxel halo, which holds every neighbourhood those
-    voxels need.  The stack must be finite: NaN would make the running
-    minimum depend on values outside the box.
+    ladder top must not alias into the boundary layer.  The bounding box of
+    the voxels below -threshold is found by `any` reductions; the minimum
+    filter (nearest-mode borders) runs only on that box plus a one-voxel
+    halo, which holds every neighbourhood those voxels need, and only the
+    box is searched for indices.  The stack must be finite: NaN would make
+    the running minimum depend on values outside the box.
     """
-    extremal = stack < -threshold
-    extremal[0] = False
-    extremal[-1] = False
-    hits = np.nonzero(extremal)
-    if hits[0].size == 0:
-        return extremal
-    box = tuple(
-        slice(max(int(h.min()) - 1, 0), min(int(h.max()) + 2, size))
-        for h, size in zip(hits, stack.shape)
+    below = stack[1:-1] < -threshold
+    layers = np.flatnonzero(below.reshape(below.shape[0], -1).any(axis=1))
+    if layers.size == 0:
+        return tuple(np.empty(0, dtype=np.intp) for _ in stack.shape)
+    rows = np.flatnonzero(below.any(axis=(0, 2)))
+    cols = np.flatnonzero(below.any(axis=(0, 1)))
+    # The hits' box in stack coordinates, and the same box with its halo.
+    first = (int(layers[0]) + 1, int(rows[0]), int(cols[0]))
+    last = (int(layers[-1]) + 1, int(rows[-1]), int(cols[-1]))
+    halo = tuple(
+        slice(max(a - 1, 0), min(b + 2, size)) for a, b, size in zip(first, last, stack.shape)
     )
-    sub = stack[box]
-    extremal[box] &= sub == ndimage.minimum_filter(sub, size=3, mode="nearest")
-    return extremal
+    sub = stack[halo]
+    is_min = sub == ndimage.minimum_filter(sub, size=3, mode="nearest")
+    box = tuple(slice(a, b + 1) for a, b in zip(first, last))
+    inner = tuple(slice(a - h.start, b + 1 - h.start) for a, b, h in zip(first, last, halo))
+    hits = (stack[box] < -threshold) & is_min[inner]
+    return tuple(index + offset for index, offset in zip(np.nonzero(hits), first))
 
 
 def detect_blobs(frame, scales, threshold: float | None = None) -> list[BlobDescriptor]:
@@ -173,6 +246,10 @@ def detect_blobs(frame, scales, threshold: float | None = None) -> list[BlobDesc
     The multiplier covers the multiple-comparison volume: a stack holds
     ~1e7 voxels, so a 5-sigma cut still admits a few noise minima per
     hundred frames while 7 sigma keeps the expected count far below one.
+    The value is max(7 * 1.4826 * MAD, 1e-3 * peak) bit for bit, but the
+    MAD is computed only when a counting proof on the stack cannot show
+    that the floor wins (`_auto_threshold`); on a default build-up frame
+    the proof holds and the floor is the threshold.
     Detections within 2*sqrt(t) of an image border are dropped; of two
     detections closer than 1.5*(sqrt(t1)+sqrt(t2)) only the stronger
     survives.
@@ -183,16 +260,14 @@ def detect_blobs(frame, scales, threshold: float | None = None) -> list[BlobDesc
     """
     arr = _detection_ladder(scales)
     stack = scale_space_response(frame, arr)
-    if not np.isfinite(stack).all():
-        raise DomainError("blob detection needs a finite frame; its response has NaN or inf")
+    peak = _finite_peak(stack)
     if threshold is None:
-        threshold = max(7.0 * 1.4826 * _mad(stack), 1e-3 * np.max(np.abs(stack)))
-    extremal = _thresholded_minima(stack, threshold)
+        threshold = _auto_threshold(stack, peak)
     n_s, n_y, n_x = stack.shape
     # ladder is geometric, so the scale is refined on log t
     log_ratio = np.log(arr[1] / arr[0])
     candidates = []
-    for k, i, j in zip(*np.nonzero(extremal)):
+    for k, i, j in zip(*_thresholded_minima(stack, threshold)):
         t = arr[k]
         margin = 2 * np.sqrt(t)
         if i < margin or i > n_y - 1 - margin or j < margin or j > n_x - 1 - margin:

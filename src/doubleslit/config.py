@@ -129,6 +129,15 @@ class RunConfig:
 _FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
+# A value or key longer than this is named by its length in a message, not echoed.
+_ECHO_MAX = 40
+
+
+def _shown(text: str) -> str:
+    """The value as a message quotes it: repr, or its length when longer than _ECHO_MAX."""
+    return repr(text) if len(text) <= _ECHO_MAX else f"<{len(text)} characters>"
+
+
 def _parse_scalar(key: str, kind: str, text: str, where: str):
     if kind == "int_list":
         try:
@@ -151,25 +160,25 @@ def _parse_scalar(key: str, kind: str, text: str, where: str):
             raise ConfigError(f"{where}: cannot parse number of {digits} digits for {key}")
     m = _NUMBER_RE.match(text)
     if not m:
-        raise ConfigError(f"{where}: cannot parse value {text!r} for {key}")
+        raise ConfigError(f"{where}: cannot parse value {_shown(text)} for {key}")
     number, suffix = m.group(1), m.group(2)
     try:
         value = float(number)
     except ValueError:
-        raise ConfigError(f"{where}: cannot parse number {number!r} for {key}")
+        raise ConfigError(f"{where}: cannot parse number {_shown(number)} for {key}")
     units = {"length": LENGTH_UNITS, "energy": ENERGY_UNITS, "rate": RATE_UNITS}.get(kind)
     if units is None:
         if suffix:
-            raise ConfigError(f"{where}: {key} takes a bare number, got unit {suffix!r}")
+            raise ConfigError(f"{where}: {key} takes a bare number, got unit {_shown(suffix)}")
     elif suffix:
         if suffix not in units:
             raise ConfigError(
-                f"{where}: unit {suffix!r} not valid for {key} "
+                f"{where}: unit {_shown(suffix)} not valid for {key} "
                 f"(expected one of {', '.join(units)})"
             )
         value *= units[suffix]
     if not math.isfinite(value):
-        raise ConfigError(f"{where}: {key} must be finite, got {text!r}")
+        raise ConfigError(f"{where}: {key} must be finite, got {_shown(text)}")
     if kind == "int":
         # A float holds every integer below 2^53 exactly; 2^53 + 1 reads as 2^53.
         if value != int(value) or abs(value) >= 2**53:
@@ -215,7 +224,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key, _, value_text = line.partition("=")
         key = key.strip()
         if key not in _FIELDS:
-            raise ConfigError(f"{where}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {_shown(key)}")
         if key in values:
             raise ConfigError(f"{where}: duplicate key {key!r}")
         kind = _FIELDS[key].metadata["kind"]

@@ -1,24 +1,42 @@
-"""The cropped minimum filter and in-place MAD agree exactly with the full-stack forms."""
+"""The detector's fast kernels agree exactly with their full-stack forms:
+the cropped minimum filter, the in-place MAD, the counting proof of the
+auto threshold and the in-place response stack."""
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from doubleslit import blobdetect
 from doubleslit.blobdetect import (
+    _auto_threshold,
+    _finite_peak,
     _mad,
     _thresholded_minima,
     detect_blobs,
     geometric_scales,
     scale_space_response,
 )
+from doubleslit.buildup import run_buildup
+from doubleslit.config import load_config
 from doubleslit.errors import DomainError
 
 LADDER = geometric_scales(2.0, 30.0, 1.3)
 SHAPE = (40, 96)
+CONFIG_PATH = str(Path(__file__).resolve().parents[1] / "configs" / "default.cfg")
+# The auto threshold's MAD multiplier, written as in the threshold formula.
+SIGMAS = 7.0 * 1.4826
 
 
 def reference_mad(stack):
     return np.median(np.abs(stack - np.median(stack)))
+
+
+def reference_threshold(stack):
+    return max(7.0 * 1.4826 * reference_mad(stack), 1e-3 * np.max(np.abs(stack)))
 
 
 def reference_minima(stack, threshold):
@@ -30,10 +48,15 @@ def reference_minima(stack, threshold):
 
 
 def reference_detect(frame, threshold):
-    """detect_blobs with both kernels swapped for their full-stack forms."""
+    """detect_blobs with the auto threshold and the minima search swapped
+    for their full-stack forms."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(blobdetect, "_mad", reference_mad)
-        mp.setattr(blobdetect, "_thresholded_minima", reference_minima)
+        mp.setattr(blobdetect, "_auto_threshold", lambda stack, peak: reference_threshold(stack))
+        mp.setattr(
+            blobdetect,
+            "_thresholded_minima",
+            lambda stack, threshold: np.nonzero(reference_minima(stack, threshold)),
+        )
         return detect_blobs(frame, LADDER, threshold)
 
 
@@ -65,9 +88,11 @@ def test_minima_on_random_stacks_with_plateaus_and_ties(seed):
     for s in (stack, sparse):
         before = s.copy()
         for threshold in (0.5, 1.5, 2.5, 3.5, 10.0):
-            np.testing.assert_array_equal(
-                _thresholded_minima(s, threshold), reference_minima(s, threshold)
-            )
+            found = _thresholded_minima(s, threshold)
+            expected = np.nonzero(reference_minima(s, threshold))
+            assert len(found) == len(expected) == 3
+            for a, b in zip(found, expected):
+                np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(s, before)
         assert same_value(_mad(s), reference_mad(s))
 
@@ -78,6 +103,111 @@ def test_mad_matches_median_on_odd_and_even_sizes(size):
     before = stack.copy()
     assert same_value(_mad(stack), reference_mad(stack))
     np.testing.assert_array_equal(stack, before)
+
+
+def threshold_case(kind, size, seed, detail):
+    """A flat stack of `size` voxels of one kind, built from a seed."""
+    rng = np.random.default_rng(seed)
+    if kind == "levels":
+        # Few distinct values: ties at the median, its bracket and c.
+        stack = rng.integers(-3, 4, size=size).astype(np.float64)
+        stack[rng.integers(0, size)] = 4e4 * detail
+    elif kind == "constant":
+        stack = np.full(size, [0.0, -0.0, 1.5, -2.0][seed % 4])
+    elif kind == "noise":
+        # The MAD term wins.
+        stack = rng.normal(size=size)
+    elif kind == "spike":
+        # The floor wins unless the spike is small.
+        stack = 1e-3 * rng.normal(size=size)
+        stack[rng.integers(0, size)] = -50.0 * detail
+    else:
+        # near_c: a MAD within 1e-12 of c = floor / SIGMAS, on either side,
+        # around a median far from zero, whose ulp is up to about 1e-12 of c.
+        peak = 1e3
+        c = 1e-3 * peak / SIGMAS * (1.0 + (detail - 0.5) * 2e-12)
+        centre = peak * rng.uniform(-0.9, 0.9)
+        stack = np.full(size, centre)
+        side = rng.random(size)
+        stack[side < 0.4] = centre - c
+        stack[side >= 0.6] = centre + 10 * c
+        stack[rng.integers(0, size)] = peak
+    return stack
+
+
+@settings(max_examples=400)
+@given(
+    kind=st.sampled_from(["levels", "constant", "noise", "spike", "near_c"]),
+    # Sizes below and above the sample minimum (61 x 100 voxels), odd and even.
+    size=st.one_of(st.integers(1, 400), st.integers(6000, 16000)),
+    seed=st.integers(0, 2**32 - 1),
+    detail=st.floats(0.0, 1.0),
+)
+def test_auto_threshold_matches_reference(kind, size, seed, detail):
+    stack = threshold_case(kind, size, seed, detail)
+    before = stack.copy()
+    found = _auto_threshold(stack, _finite_peak(stack))
+    assert same_value(found, reference_threshold(stack))
+    np.testing.assert_array_equal(stack, before)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_auto_threshold_checks_that_the_sample_brackets_the_median(sign):
+    """Every 61st voxel is 0, so the sample says the median is 0; more than
+    half of the stack lies within c of 0, but the MAD is 1.8 c.  The median
+    lies above the sample's bracket, and below it in the negated stack."""
+    n = 61 * 200
+    peak = 1e6
+    c = 1e-3 * peak / SIGMAS
+    rest = np.full(n - 200, 100 * c)
+    rest[: int(0.3 * n)] = -0.9 * c
+    rest[int(0.3 * n) : int(0.55 * n)] = 0.9 * c
+    rest[-1] = peak
+    stack = np.zeros(n)
+    stack[np.arange(n) % 61 != 0] = np.random.default_rng(0).permutation(rest)
+    stack *= sign
+    assert same_value(reference_mad(stack), 1.8 * c)
+    assert same_value(_auto_threshold(stack, _finite_peak(stack)), reference_threshold(stack))
+    assert reference_threshold(stack) > 1e-3 * peak
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_auto_threshold_keeps_its_count_bounds_inside_the_proof(sign):
+    """A voxel at the rounded bound fl(median - c) lies just over c from the
+    median when the subtraction rounds down, so the MAD term wins by a few
+    parts in 1e13: the bound must be moved one ulp inward.  The negated
+    stack puts the voxel at the upper bound."""
+    n = 20000
+    # Within a binade the rounding of centre - c depends on c alone.
+    for peak in np.linspace(1000.0, 1001.0, 101):
+        c = 1e-3 * peak / SIGMAS
+        centre = 0.45 * peak
+        low = centre - c
+        ulp = np.spacing(centre)
+        if 0.1 * ulp <= (centre - low) - c <= 0.4 * ulp:
+            break
+    else:
+        pytest.fail("no peak found whose lower count bound rounds down")
+    # Every 61st voxel holds the median, so the sample brackets it exactly.
+    sampled = np.arange(n) % 61 == 0
+    rest = np.full(n - np.count_nonzero(sampled), centre)
+    rest[: int(0.4 * n)] = low
+    rest[-int(0.4 * n) :] = centre + 10 * c
+    rest[-1] = peak
+    stack = np.full(n, centre)
+    stack[~sampled] = np.random.default_rng(1).permutation(rest)
+    stack *= sign
+    assert same_value(reference_mad(stack), centre - low)
+    assert reference_threshold(stack) > 1e-3 * peak
+    assert same_value(_auto_threshold(stack, _finite_peak(stack)), reference_threshold(stack))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_peak_refuses_a_non_finite_stack(value):
+    stack = np.zeros((3, 4, 5))
+    stack[1, 2, 3] = value
+    with pytest.raises(DomainError, match="finite frame"):
+        _finite_peak(stack)
 
 
 def border_frames():
@@ -119,3 +249,52 @@ def test_detect_matches_full_stack_reference(name, threshold):
                 detect(frame, threshold)
         return
     assert detect_blobs(frame, LADDER, threshold) == reference_detect(frame, threshold)
+
+
+@pytest.mark.parametrize("name", ["noisy", "corners", "zero"])
+def test_response_stack_matches_per_scale_products(name):
+    frame = border_frames()[name]
+    expected = np.stack(
+        [
+            t * ndimage.laplace(
+                ndimage.gaussian_filter(frame, sigma=np.sqrt(t), mode="mirror"), mode="mirror"
+            )
+            for t in LADDER
+        ]
+    )
+    assert scale_space_response(frame, LADDER).tobytes() == expected.tobytes()
+
+
+def spy(monkeypatch, name):
+    """Record the arguments and result of every call to blobdetect.<name>."""
+    calls = []
+    real = getattr(blobdetect, name)
+
+    def record(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(blobdetect, name, record)
+    return calls
+
+
+def test_default_buildup_frames_take_the_proof(monkeypatch):
+    mads = spy(monkeypatch, "_mad")
+    thresholds = spy(monkeypatch, "_auto_threshold")
+    config = dataclasses.replace(load_config(CONFIG_PATH), n_events=20, checkpoints=())
+    assert len(run_buildup(config).rows) == 20
+    assert len(thresholds) == 20
+    assert mads == []
+    for (stack, _), found in thresholds:
+        assert same_value(found, reference_threshold(stack))
+        assert same_value(found, 1e-3 * np.max(np.abs(stack)))
+
+
+def test_noisy_frame_takes_the_exact_mad(monkeypatch):
+    mads = spy(monkeypatch, "_mad")
+    stack = scale_space_response(border_frames()["noisy"], LADDER)
+    found = _auto_threshold(stack, _finite_peak(stack))
+    assert len(mads) == 1
+    assert same_value(found, reference_threshold(stack))
+    assert found > 1e-3 * np.max(np.abs(stack))

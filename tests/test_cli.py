@@ -740,6 +740,28 @@ def test_overlong_seed_flag_is_named_by_its_length(tmp_path, mini_config, capsys
 
 
 @pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--seed", "9" * 400 + ".0", "must be finite, got <402 characters>"),
+        ("--seed", "1" + "." * 400, "cannot parse number <401 characters>"),
+        ("--seed", "x" * 400, "cannot parse value <400 characters>"),
+        ("--seed", "1" + "z" * 400, "takes a bare number, got unit <400 characters>"),
+        ("--mask-center", "1 " + "q" * 400, "unit <400 characters> not valid"),
+    ],
+)
+def test_overlong_number_flag_is_named_by_its_length(
+    tmp_path, mini_config, capsys, flag, value, message
+):
+    out = tmp_path / "run"
+    assert run("pattern", "--config", mini_config, "--out", str(out), flag, value) == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert message in err
+    assert len(err.encode()) < 200
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "config,argv",
     [
         ("slits.width = -50 nm", ["pattern"]),

@@ -92,6 +92,8 @@ def test_error_messages_carry_line_and_key():
         parse_config_text("slits.width = 50 eV\n")
     with pytest.raises(ConfigError, match="slits.width"):
         from_text("slits.width = -50 nm")
+    with pytest.raises(ConfigError, match=r"<config>:1: unknown key <400 characters>$"):
+        parse_config_text("k" * 400 + " = 1\n")
 
 
 def test_seed_required_without_default():
