@@ -243,9 +243,10 @@ def detect_blobs(frame, scales, threshold: float | None = None) -> list[BlobDesc
     threshold=None uses a robust default: 7 x the MAD-based noise estimate
     of the response stack, floored at 1e-3 of the peak response so exactly
     noiseless frames do not admit arbitrarily weak side-lobe structure.
-    The multiplier covers the multiple-comparison volume: a stack holds
-    ~1e7 voxels, so a 5-sigma cut still admits a few noise minima per
-    hundred frames while 7 sigma keeps the expected count far below one.
+    The multiplier covers the multiple-comparison volume: a default stack
+    holds 11 x 32 x 416 = 146 432 voxels, so a 5-sigma cut still admits a
+    few noise minima per hundred frames while 7 sigma keeps the expected
+    count far below one.
     The value is max(7 * 1.4826 * MAD, 1e-3 * peak) bit for bit, but the
     MAD is computed only when a counting proof on the stack cannot show
     that the floor wins (`_auto_threshold`); on a default build-up frame

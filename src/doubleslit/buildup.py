@@ -12,6 +12,7 @@ that swaps module attributes sees every call.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -73,14 +74,23 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
     """Sample events, render one frame per event, detect, accumulate.
 
     Refused before any propagation: frames whose response stacks exceed
-    physical memory, and an event count whose float64 draws per event
-    do; the draws are a lower bound on what the events need.
+    physical memory, an event count whose float64 draws per event do (the
+    draws are a lower bound on what the events need), and a background
+    or PSF width that the frame renderer cannot draw or square.
     """
     w, h, scales = config.frame_width, config.frame_height, config.blob_scales()
     refuse_stacks_beyond_memory(f"frame.width = {w} and frame.height = {h}", w, h, len(scales))
     n = config.n_events
     if n < 1:
         raise ConfigError(f"buildup needs sampler.n_events >= 1, got {n}")
+    # Above MAXVAL the background alone saturates about half of all pixels.
+    if config.background > pgm.MAXVAL:
+        raise ConfigError(
+            f"buildup needs sampler.background <= {pgm.MAXVAL}, got {config.background}"
+        )
+    sigma = config.psf_sigma
+    if not math.isfinite(sigma * sigma):
+        raise ConfigError(f"buildup needs sampler.psf_sigma squared to be finite, got {sigma}")
     draws = sampler.DRAWS_PER_EVENT
     workers.refuse_beyond_memory(
         f"sampler.n_events = {n} needs {draws} x {n} float64 draws", draws * 8 * n

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -33,30 +34,34 @@ from .propagation import PASS_FIELDS, IntensityProfile, forget_kept, simulate_be
 _BLOCK_ROWS = 4096  # rows per x-column template, filled by one % call
 
 
-def _x_column(profile: IntensityProfile) -> list[str]:
-    """The first column of a profile CSV as row templates `"<x>,%.17g\n"`,
-    _BLOCK_ROWS rows each (the last block may hold fewer)."""
-    x = profile.x.tolist()
-    return [
-        "".join([f"{v:.17g},%.17g\n" for v in x[lo : lo + _BLOCK_ROWS]])
-        for lo in range(0, len(x), _BLOCK_ROWS)
+def _write_profiles(
+    out: Path, name: Callable[[int], str], profiles: list[IntensityProfile]
+) -> None:
+    """Write profiles[i] to out/name(i) as `x_m,intensity` rows with 17
+    significant digits; every profile lies on profiles[0]'s grid.
+
+    The x column is formatted once, before the fork, into row templates
+    `"<x>,%.17g\n"` of _BLOCK_ROWS rows each (the last block may hold
+    fewer); a file then takes one `%` per block of values.  Formatting holds
+    the GIL, so the files are written by forked processes
+    (`workers.run_forked`), which inherit the profiles and the templates;
+    pickling them to a spawned pool costs peak memory, and so does a
+    template of a whole file.
+    """
+    x = profiles[0].x
+    xs = [
+        "".join([f"{v:.17g},%.17g\n" for v in x[lo : lo + _BLOCK_ROWS].tolist()])
+        for lo in range(0, x.size, _BLOCK_ROWS)
     ]
 
+    def write(i: int) -> None:
+        values = profiles[i].values
+        with open(out / name(i), "w", newline="") as fh:
+            fh.write("x_m,intensity\n")
+            for lo, block in zip(range(0, values.size, _BLOCK_ROWS), xs):
+                fh.write(block % tuple(values[lo : lo + _BLOCK_ROWS].tolist()))
 
-def _write_profile_csv(path: Path, profile: IntensityProfile, xs: list[str]) -> None:
-    """Write `x_m,intensity` rows with 17 significant digits.
-
-    xs is _x_column of a profile on the same grid, formatted once when many
-    profiles share it.  A column of another length is refused before the
-    file is opened.
-    """
-    rows = _BLOCK_ROWS * (len(xs) - 1) + xs[-1].count("\n") if xs else 0
-    if rows != profile.n:
-        raise DomainError(f"x column of {rows} rows for a profile of {profile.n} values")
-    with open(path, "w", newline="") as fh:
-        fh.write("x_m,intensity\n")
-        for lo, block in zip(range(0, rows, _BLOCK_ROWS), xs):
-            fh.write(block % tuple(profile.values[lo : lo + _BLOCK_ROWS].tolist()))
+    workers.run_forked(len(profiles), write, name)
 
 
 def _value_text(value) -> str:
@@ -149,7 +154,7 @@ def cmd_pattern(args) -> int:
         )
     profile = simulate_beamline(config.layout(), config.beam(), center, config.grid())
     out = _out_dir(args)
-    _write_profile_csv(out / "pattern.csv", profile, _x_column(profile))
+    _write_profiles(out, lambda i: "pattern.csv", [profile])
     extras = _derived(config)
     extras["pattern.mask_center_m"] = "none" if center is None else float(center)
     _write_meta(out / "pattern.meta", config, extras)
@@ -161,25 +166,6 @@ def cmd_pattern(args) -> int:
 
 def _sweep_name(i: int) -> str:
     return f"sweep_{i:03d}.csv"
-
-
-def _write_sweep_profiles(out: Path, profiles: list[IntensityProfile]) -> None:
-    """Write profiles[i] to out/sweep_NNN.csv on every CPU.
-
-    The x column is formatted once, before the fork, into blocks of row
-    templates (`_x_column`); each file then takes one `%` per block of
-    values.  Formatting holds the GIL, so the files are written by forked
-    processes (`workers.run_forked`), which inherit the profiles and the
-    templates; pickling them to a spawned pool costs peak memory, and so
-    does a template of a whole file.
-    """
-    # SweepResult holds one grid for all profiles.
-    xs = _x_column(profiles[0])
-
-    def write(i: int) -> None:
-        _write_profile_csv(out / _sweep_name(i), profiles[i], xs)
-
-    workers.run_forked(len(profiles), write, _sweep_name)
 
 
 def cmd_sweep(args) -> int:
@@ -205,7 +191,8 @@ def cmd_sweep(args) -> int:
     except DomainError as exc:
         raise ConfigError(f"argument: --from, --to and --steps: {exc}") from exc
     out = _out_dir(args)
-    _write_sweep_profiles(out, [entry.profile for entry in result.entries])
+    # SweepResult holds one grid for all profiles.
+    _write_profiles(out, _sweep_name, [entry.profile for entry in result.entries])
     with open(out / "manifest.csv", "w", newline="") as fh:
         fh.write("index,center_m,fraction_slit1,fraction_slit2,label,file\n")
         for i, entry in enumerate(result.entries):

@@ -47,9 +47,8 @@ def _uniforms(seed: int, stream: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DetectionEvent:
-    """One detected electron: arrival order, time and detector position."""
+    """One detected electron: arrival time and detector position."""
 
-    index: int
     t: float
     x: float
     y: float
@@ -127,8 +126,8 @@ def make_events(
     ts = sample_arrival_times(rate, n_events, seed)
     ys = sample_heights(height_band, n_events, seed)
     return [
-        DetectionEvent(index=i, t=float(ts[i]), x=float(xs[i]), y=float(ys[i]))
-        for i in range(n_events)
+        DetectionEvent(t=t, x=x, y=y)
+        for t, x, y in zip(ts.tolist(), xs.tolist(), ys.tolist())
     ]
 
 
@@ -180,5 +179,5 @@ def render_frame(
 def write_events_csv(events: list[DetectionEvent], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("index,t_s,x_m,y_m\n")
-        for ev in events:
-            fh.write(f"{ev.index},{ev.t:.17g},{ev.x:.17g},{ev.y:.17g}\n")
+        for i, ev in enumerate(events):
+            fh.write(f"{i},{ev.t:.17g},{ev.x:.17g},{ev.y:.17g}\n")

@@ -36,7 +36,6 @@ SEEDS = st.integers(0, 2**32 - 1)
 def frame_with_spots(spots, seed, width=WIDTH):
     events = [
         DetectionEvent(
-            index=0,
             t=0.5,
             x=pixel_offsets(col, width) * PITCH,
             y=pixel_offsets(row, HEIGHT) * PITCH,

@@ -8,8 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from doubleslit.cli import _write_profile_csv, _x_column, main
-from doubleslit.errors import DomainError
+from doubleslit.cli import _write_profiles, main
 from doubleslit.pgm import read_pgm, write_pgm
 from doubleslit.propagation import IntensityProfile, _kept
 
@@ -102,25 +101,26 @@ def test_profile_writer_matches_per_row_reference(tmp_path, x0, dx):
         for vals in (EXTREME_VALUES, EXTREME_VALUES[::-1],
                      np.random.default_rng(3).random(9) ** 9)
     ]
-    xs = _x_column(profiles[0])
+    _write_profiles(tmp_path, lambda i: f"shared_{i}.csv", profiles)
     for i, profile in enumerate(profiles):
         expected = tmp_path / f"ref_{i}.csv"
         reference_write_profile_csv(expected, profile)
-        shared = tmp_path / f"shared_{i}.csv"
-        _write_profile_csv(shared, profile, xs)
-        assert shared.read_bytes() == expected.read_bytes()
+        assert (tmp_path / f"shared_{i}.csv").read_bytes() == expected.read_bytes()
 
 
-@pytest.mark.parametrize("column_n,values_n", [(4, 8), (8, 4), (0, 1), (4097, 4096)])
-def test_profile_writer_refuses_a_column_of_another_length(tmp_path, column_n, values_n):
-    # A shared column of another grid would silently drop or misplace rows.
-    column = IntensityProfile(x0=0.0, dx=1.0, values=np.ones(column_n), normalized=False)
-    profile = IntensityProfile(x0=0.0, dx=1.0, values=np.ones(values_n), normalized=False)
-    path = tmp_path / "p.csv"
-    with pytest.raises(DomainError, match=f"x column of {column_n} rows for a profile "
-                                          f"of {values_n} values"):
-        _write_profile_csv(path, profile, _x_column(column))
-    assert not path.exists()
+@pytest.mark.parametrize("mask_center", ["0", "none"])
+def test_pattern_csv_matches_per_row_reference(tmp_path, mini_config, mask_center):
+    from doubleslit.config import load_config
+    from doubleslit.propagation import simulate_beamline
+
+    out = tmp_path / "out"
+    assert run("pattern", "--config", mini_config, "--out", str(out),
+               "--mask-center", mask_center) == 0
+    config = load_config(mini_config, None)
+    center = None if mask_center == "none" else 0.0
+    profile = simulate_beamline(config.layout(), config.beam(), center, config.grid())
+    reference_write_profile_csv(tmp_path / "ref.csv", profile)
+    assert (out / "pattern.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_sweep_manifest(tmp_path, mini_config):
@@ -238,18 +238,20 @@ def test_sweep_write_error_names_the_earliest_file(
 
 def test_sweep_writer_killed_by_a_signal_is_named(tmp_path, mini_config, capsys, monkeypatch):
     import doubleslit.workers
-    import doubleslit.cli
 
     monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 2)
     parent = os.getpid()
-    write = doubleslit.cli._write_profile_csv
+    run_forked = doubleslit.workers.run_forked
 
-    def dying_write(path, profile, xs=None):
-        if os.getpid() != parent and path.name == "sweep_003.csv":
-            os.kill(os.getpid(), signal.SIGKILL)
-        write(path, profile, xs)
+    def dying_run_forked(n, work, name):
+        def dying_work(i):
+            if os.getpid() != parent and name(i) == "sweep_003.csv":
+                os.kill(os.getpid(), signal.SIGKILL)
+            work(i)
 
-    monkeypatch.setattr(doubleslit.cli, "_write_profile_csv", dying_write)
+        run_forked(n, dying_work, name)
+
+    monkeypatch.setattr(doubleslit.workers, "run_forked", dying_run_forked)
     out = tmp_path / "sweep"
     assert run("sweep", "--config", mini_config, "--out", str(out), *SWEEP_ARGS) == 3
     err = capsys.readouterr().err
@@ -667,6 +669,32 @@ def test_buildup_rejects_zero_events(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
     assert run("buildup", "--config", str(cfg), "--out", str(out)) == 2
     assert "sampler.n_events" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line,key",
+    [
+        # numpy's Poisson draw refuses a mean this large with a ValueError.
+        ("sampler.background = 1e19", "sampler.background"),
+        ("sampler.background = 65535.000000001", "sampler.background"),
+        # render_frame squares the PSF width, which overflows.
+        ("sampler.psf_sigma = 1e200", "sampler.psf_sigma"),
+        ("sampler.psf_sigma = 1.3407807929942597e154", "sampler.psf_sigma"),
+    ],
+)
+def test_buildup_refuses_frames_it_cannot_render(tmp_path, capsys, monkeypatch, line, key):
+    # Refused by key before any propagation, and before --out is made.
+    import doubleslit.buildup
+
+    monkeypatch.setattr(doubleslit.buildup.propagation, "simulate_beamline", no_propagation)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"sampler.n_events = 5\n{line}\nrun.seed = 7\n")
+    out = tmp_path / "nested" / "out"
+    assert run("buildup", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "nested").exists()
 
 
 @pytest.mark.parametrize("command", ["buildup", "detect"])

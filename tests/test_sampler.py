@@ -137,7 +137,6 @@ def test_make_events_is_deterministic():
     assert a == b
     c = make_events(prof, 1.0, 4e-5, 50, SEED + 1)
     assert a != c
-    assert [e.index for e in a] == list(range(50))
     ts = [e.t for e in a]
     assert ts == sorted(ts)
 
@@ -145,7 +144,7 @@ def test_make_events_is_deterministic():
 # --- frame rendering ---------------------------------------------------------
 
 def one_event(x, t=0.5, y=0.0):
-    return DetectionEvent(index=0, t=t, x=x, y=y)
+    return DetectionEvent(t=t, x=x, y=y)
 
 
 def test_render_places_spot_at_subpixel_position():
@@ -188,8 +187,8 @@ def test_render_spot_mass_matches_gaussian_integral():
 
 def test_render_window_selects_events():
     pitch = 12e-6
-    evs = [DetectionEvent(index=0, t=0.2, x=-5 * pitch, y=0.0),
-           DetectionEvent(index=1, t=1.2, x=+5 * pitch, y=0.0)]
+    evs = [DetectionEvent(t=0.2, x=-5 * pitch, y=0.0),
+           DetectionEvent(t=1.2, x=+5 * pitch, y=0.0)]
     fr0 = render_frame(evs, (0.0, 1.0), 2.0, 0.0, SEED, width=33, height=11,
                        pitch=pitch, amplitude=1000.0)
     fr1 = render_frame(evs, (1.0, 2.0), 2.0, 0.0, SEED, frame_index=0,
@@ -239,5 +238,6 @@ def test_events_csv_round_trip(tmp_path):
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
     assert header == ["index", "t_s", "x_m", "y_m"]
-    back = [DetectionEvent(int(i), float(t), float(x), float(y)) for i, t, x, y in rows]
+    assert [int(row[0]) for row in rows] == list(range(25))
+    back = [DetectionEvent(float(t), float(x), float(y)) for _, t, x, y in rows]
     assert back == events
