@@ -28,15 +28,6 @@ class BlobDescriptor:
     response: float
 
 
-@dataclass(frozen=True, eq=False)
-class BuildUpResult:
-    """Final canvas (the long-exposure stand-in) and a copy of it at each
-    reached checkpoint count."""
-
-    canvas: np.ndarray
-    snapshots: dict[int, np.ndarray]
-
-
 # Each scale is one frame-sized float64 layer of the response stack, and the
 # exact MAD holds a flattened copy of the stack.  The auto threshold makes
 # that copy only when its counting proof fails, but the memory refusals
@@ -151,11 +142,8 @@ def _finite_peak(stack: np.ndarray) -> float:
 _MAD_SIGMAS = 7.0 * 1.4826
 _PEAK_FLOOR = 1e-3
 # The median bracket comes from every _SAMPLE_STRIDE-th voxel; 61 is coprime
-# with the frame width, so the sample does not line up with columns.  A
-# stack with a smaller sample than _SAMPLE_MIN takes the exact MAD, which
-# is cheap at that size.
+# with the frame width, so the sample does not line up with columns.
 _SAMPLE_STRIDE = 61
-_SAMPLE_MIN = 100
 # Below this peak no sum or difference that `_mad` forms can overflow.
 _NO_OVERFLOW_PEAK = np.finfo(np.float64).max / 4
 
@@ -173,16 +161,16 @@ def _auto_threshold(stack: np.ndarray, peak: float) -> float:
     the voxels are there, the MAD is at most c.  c steps down from
     floor / _MAD_SIGMAS until _MAD_SIGMAS * c <= floor holds in floating
     point, and each rounded count bound is moved one ulp inward, so the
-    proof holds for the values `_mad` computes.  Any failed step falls
-    back to the exact `_mad`.
+    proof holds for the values `_mad` computes.  The counts check the
+    bracket, so any sample size will do; any failed step, as on a zero
+    peak (c is 0 and the bounds cross), falls back to the exact `_mad`.
     """
     floor = _PEAK_FLOOR * peak
     flat = stack.ravel()
     n = flat.size
     sample = flat[::_SAMPLE_STRIDE]
-    m = sample.size
-    if m >= _SAMPLE_MIN and 0 < peak <= _NO_OVERFLOW_PEAK:
-        ia, ib = (m * 48) // 100, (m * 52) // 100
+    if peak <= _NO_OVERFLOW_PEAK:
+        ia, ib = (sample.size * 48) // 100, (sample.size * 52) // 100
         part = np.partition(sample, [ia, ib])
         a, b = part[ia], part[ib]
         c = floor / _MAD_SIGMAS
@@ -299,13 +287,14 @@ def accumulate_buildup(
     width: int,
     height: int,
     checkpoints=(),
-) -> BuildUpResult:
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Stamp each blob as a unit-integral Gaussian of its detected scale.
 
-    Snapshots of the canvas are recorded when the accumulated count reaches
-    each configured checkpoint.  A blob whose center lies outside the
-    canvas is refused: `detect_blobs` keeps every blob of a frame inside
-    that frame, so such a blob was found on another canvas.
+    Returns `(canvas, snapshots)`: the final canvas, the long-exposure
+    stand-in, and a copy of it at each checkpoint count that was reached.
+    A blob whose center lies outside the canvas is refused: `detect_blobs`
+    keeps every blob of a frame inside that frame, so such a blob was
+    found on another canvas.
     """
     if width < 1 or height < 1:
         raise DomainError(f"canvas dimensions must be positive, got {width}x{height}")
@@ -329,7 +318,7 @@ def accumulate_buildup(
         n += 1
         if n in marks:
             snapshots[n] = canvas.copy()
-    return BuildUpResult(canvas=canvas, snapshots=snapshots)
+    return canvas, snapshots
 
 
 def write_blobs_csv(rows, path: str | Path) -> None:

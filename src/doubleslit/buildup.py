@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analysis, blobdetect, pgm, propagation, sampler, workers
-from .blobdetect import BlobDescriptor, BuildUpResult
+from .blobdetect import BlobDescriptor
 from .config import RunConfig
 from .errors import ConfigError, DomainError
 from .propagation import IntensityProfile
@@ -31,13 +31,15 @@ from .sampler import DetectionEvent
 class BuildUpRun:
     """Everything one build-up produces, before any file is written.
 
-    `rows` are (frame_index, t_s, blob) triples in frame order; `metrics`
-    are the deterministic summary values, in output order.
+    `rows` are (frame_index, t_s, blob) triples in frame order; `canvas`
+    and `snapshots` are what `accumulate_buildup` returns; `metrics` are
+    the deterministic summary values, in output order.
     """
 
     events: list[DetectionEvent]
     rows: list[tuple[int, float, BlobDescriptor]]
-    result: BuildUpResult
+    canvas: np.ndarray
+    snapshots: dict[int, np.ndarray]
     metrics: dict
 
 
@@ -138,7 +140,7 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
     ]
     blobs = [blob for _, _, blob in rows]
 
-    result = blobdetect.accumulate_buildup(
+    canvas, snapshots = blobdetect.accumulate_buildup(
         blobs, config.frame_width, config.frame_height, checkpoints=config.checkpoints
     )
     # Recovered positions in meters, for the end-to-end consistency metric.
@@ -152,7 +154,7 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
         "ks_events": ks_events,
         "ks_final": ks_final,
     }
-    return BuildUpRun(events=events, rows=rows, result=result, metrics=metrics)
+    return BuildUpRun(events, rows, canvas, snapshots, metrics)
 
 
 def run_detect(

@@ -212,9 +212,9 @@ def cmd_buildup(args) -> int:
     out = _out_dir(args)
     sampler.write_events_csv(run.events, out / "events.csv")
     blobdetect.write_blobs_csv(run.rows, out / "blobs.csv")
-    for count, canvas in sorted(run.result.snapshots.items()):
+    for count, canvas in sorted(run.snapshots.items()):
         write_pgm(out / f"buildup_{count:06d}.pgm", _to_pgm_scaled(canvas))
-    write_pgm(out / "buildup_final.pgm", _to_pgm_scaled(run.result.canvas))
+    write_pgm(out / "buildup_final.pgm", _to_pgm_scaled(run.canvas))
     with open(out / "metrics.txt", "w") as fh:
         fh.writelines(f"{key}={_value_text(value)}\n" for key, value in run.metrics.items())
     extras = _derived(config)

@@ -89,27 +89,23 @@ def make_mask(opening_width: float, center: float) -> ApertureSpec:
     return ApertureSpec(((center - 0.5 * opening_width, center + 0.5 * opening_width),))
 
 
-def _overlap(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
-
-
 def open_fraction(slits: ApertureSpec, mask: ApertureSpec) -> tuple[float, float]:
     """Fraction of each slit whose forward projection clears the mask opening.
 
     The illumination is collimated along z, so the straight-line projection
     onto the mask plane is the identity in x, independent of the slit-to-mask
-    gap, and the fractions reduce to interval overlaps.
+    gap: a slit's clear length is the open length of the mask clipped to
+    that slit (`ApertureSpec.intersect`).
     """
     if len(slits.open_intervals) != 2:
         raise DomainError(
             f"expected a double slit (2 intervals), got {len(slits.open_intervals)}"
         )
-    fractions = []
-    for slit in slits.open_intervals:
-        width = slit[1] - slit[0]
-        open_len = sum(_overlap(slit, opening) for opening in mask.open_intervals)
-        fractions.append(open_len / width)
-    return fractions[0], fractions[1]
+    (l1, h1), (l2, h2) = slits.open_intervals
+    return (
+        mask.intersect(l1, h1).total_open_length / (h1 - l1),
+        mask.intersect(l2, h2).total_open_length / (h2 - l2),
+    )
 
 
 def sampled_transmission(aperture: ApertureSpec, x0: float, dx: float, n: int) -> np.ndarray:

@@ -56,7 +56,9 @@ def read_pgm(path: str | Path) -> np.ndarray:
     if tokens[0] != b"P5":
         raise FrameFileError(f"{path}: not a binary graymap (magic {tokens[0]!r})")
     try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        if not all(token.isdigit() for token in tokens[1:]):
+            raise ValueError("header numbers must be ASCII decimal digits")
+        w, h, maxval = map(int, tokens[1:])
     except ValueError as exc:
         raise FrameFileError(f"{path}: malformed header") from exc
     if maxval != MAXVAL:

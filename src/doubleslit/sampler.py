@@ -158,6 +158,8 @@ def render_frame(
         raise DomainError(f"psf width must be positive, got {psf_sigma}")
     if background_rate < 0:
         raise DomainError(f"background rate must be nonnegative, got {background_rate}")
+    if not amplitude > 0:
+        raise DomainError(f"spot amplitude must be positive, got {amplitude}")
     cols = pixel_offsets(np.arange(width), width)
     rows = pixel_offsets(np.arange(height), height)
     canvas = np.zeros((height, width))

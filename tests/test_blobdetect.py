@@ -190,20 +190,26 @@ def test_explicit_threshold_filters_weak_spots():
     assert abs(strong_only[0].x - 25.0) < 0.1
 
 
+@pytest.mark.parametrize("values", [(5.0, 5.0, 5.0), (3.0, 5.0, 7.0)])
+def test_refine_without_curvature_keeps_the_centre(values):
+    # A zero second difference has no vertex: no offset, the centre value.
+    assert blobdetect._refine(np.array(values), 1) == (0.0, 5.0)
+
+
 def test_accumulate_buildup_snapshots():
     blobs = [
         BlobDescriptor(x=10.0 + 3 * k, y=8.0, scale_t=9.0, response=-500.0)
         for k in range(10)
     ]
-    result = accumulate_buildup(blobs, width=64, height=16, checkpoints=(2, 7, 10))
-    assert sorted(result.snapshots) == [2, 7, 10]
+    canvas, snapshots = accumulate_buildup(blobs, width=64, height=16, checkpoints=(2, 7, 10))
+    assert sorted(snapshots) == [2, 7, 10]
     # Unit-integral stamps: canvas mass grows with the count (minus what
     # leaks off the canvas edges).
-    m2 = result.snapshots[2].sum()
-    m7 = result.snapshots[7].sum()
+    m2 = snapshots[2].sum()
+    m7 = snapshots[7].sum()
     assert m2 == pytest.approx(2.0, rel=0.15)
     assert m7 == pytest.approx(7.0, rel=0.15)
-    assert np.array_equal(result.snapshots[10], result.canvas)
+    assert np.array_equal(snapshots[10], canvas)
 
 
 def test_accumulate_refuses_out_of_canvas_blobs():
@@ -218,9 +224,9 @@ def test_accumulate_refuses_out_of_canvas_blobs():
         BlobDescriptor(x=30.0, y=99.0, scale_t=9.0, response=-500.0),
     ]
     # Every on-canvas blob is stamped, up to the last checkpoint.
-    result = accumulate_buildup(inside, width=64, height=16, checkpoints=(1, 3))
-    assert sorted(result.snapshots) == [1, 3]
-    assert np.array_equal(result.snapshots[3], result.canvas)
+    canvas, snapshots = accumulate_buildup(inside, width=64, height=16, checkpoints=(1, 3))
+    assert sorted(snapshots) == [1, 3]
+    assert np.array_equal(snapshots[3], canvas)
     for blob in outside:
         with pytest.raises(DomainError, match="outside the 64x16 canvas"):
             accumulate_buildup(inside + [blob], width=64, height=16)

@@ -138,7 +138,7 @@ def threshold_case(kind, size, seed, detail):
 @settings(max_examples=400)
 @given(
     kind=st.sampled_from(["levels", "constant", "noise", "spike", "near_c"]),
-    # Sizes below and above the sample minimum (61 x 100 voxels), odd and even.
+    # Samples of 1 to 7 voxels and of 99 to 263, odd and even sizes.
     size=st.one_of(st.integers(1, 400), st.integers(6000, 16000)),
     seed=st.integers(0, 2**32 - 1),
     detail=st.floats(0.0, 1.0),

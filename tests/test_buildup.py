@@ -66,16 +66,16 @@ def test_run_buildup_matches_sequential_loop(mini, monkeypatch, jobs, n_events):
     events, rows = sequential_rows(config)
     assert run.events == events
     assert run.rows == rows
-    expected = accumulate_buildup(
+    expected_canvas, expected_snapshots = accumulate_buildup(
         [blob for _, _, blob in rows],
         config.frame_width,
         config.frame_height,
         checkpoints=config.checkpoints,
     )
-    assert run.result.canvas.tobytes() == expected.canvas.tobytes()
-    assert sorted(run.result.snapshots) == sorted(expected.snapshots)
-    for count, canvas in expected.snapshots.items():
-        assert run.result.snapshots[count].tobytes() == canvas.tobytes()
+    assert run.canvas.tobytes() == expected_canvas.tobytes()
+    assert sorted(run.snapshots) == sorted(expected_snapshots)
+    for count, canvas in expected_snapshots.items():
+        assert run.snapshots[count].tobytes() == canvas.tobytes()
     assert run.metrics["n_events"] == n_events
     assert run.metrics["n_blobs"] == len(rows)
 

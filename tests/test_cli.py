@@ -66,16 +66,19 @@ def test_pattern_mask_changes_profile(tmp_path, mini_config):
 
 def test_pattern_with_mask_outside_window(tmp_path, mini_config):
     # A mask clipped away entirely gives zeros on the detector grid, the
-    # same x axis as an open mask.
+    # same x axis as an open mask, and an all-zero image.
     a = tmp_path / "a"
     b = tmp_path / "b"
     assert run("pattern", "--config", mini_config, "--out", str(a)) == 0
     assert run("pattern", "--config", mini_config, "--out", str(b),
-               "--mask-center", "40 um") == 0
+               "--mask-center", "40 um", "--image") == 0
     open_rows = [line.split(",") for line in (a / "pattern.csv").read_text().splitlines()]
     gone_rows = [line.split(",") for line in (b / "pattern.csv").read_text().splitlines()]
     assert [r[0] for r in gone_rows] == [r[0] for r in open_rows]
     assert {r[1] for r in gone_rows[1:]} == {"0"}
+    image = read_pgm(b / "pattern.pgm")
+    assert image.shape == (32, 416)
+    assert not image.any()
 
 
 def reference_write_profile_csv(path, profile):
@@ -547,6 +550,18 @@ def test_detect_bad_frame_exits_3(tmp_path, mini_config, capsys):
     bad.write_bytes(good.read_bytes()[:-100])
     assert run("detect", "--config", mini_config, str(bad)) == 3
     assert "short.pgm" in capsys.readouterr().err
+
+
+def test_detect_refuses_header_numbers_that_are_not_digits(tmp_path, mini_config, capsys):
+    # int() alone would read this header as a 1x20 frame.
+    frame = tmp_path / "signs.pgm"
+    frame.write_bytes(b"P5\n2_0 +1\n65_535\n" + bytes(40))
+    out = tmp_path / "det"
+    assert run("detect", "--config", mini_config, "--out", str(out), str(frame)) == 3
+    err = capsys.readouterr().err
+    assert "signs.pgm: malformed header" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_detect_rejects_trailing_bytes(tmp_path, mini_config, capsys):

@@ -1,7 +1,10 @@
 """Apertures, slit/mask overlap bookkeeping, sampled transmission."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from doubleslit.config import load_config
 from doubleslit.errors import DomainError
 from doubleslit.geometry import (
     ApertureSpec,
@@ -13,6 +16,13 @@ from doubleslit.geometry import (
 )
 
 NM = 1e-9
+CONFIG_PATH = str(Path(__file__).resolve().parents[1] / "configs" / "default.cfg")
+# open_fraction at the 41 centres of the default sweep, -2.8 um to 2.8 um.
+SWEEP_FRACTIONS = (
+    [(0.0, 0.0), (0.09999999999999692, 0.0), (1.0, 0.0), (1.0, 0.09999999999999375)]
+    + [(1.0, 1.0)] * 33
+    + [(0.10000000000000223, 1.0), (0.0, 1.0), (0.0, 0.1000000000000054), (0.0, 0.0)]
+)
 
 
 def test_double_slit_endpoints():
@@ -82,6 +92,19 @@ def test_open_fraction_stations(center_nm, expected):
     f1, f2 = open_fraction(slits, mask)
     assert f1 == pytest.approx(expected[0], abs=1e-12)
     assert f2 == pytest.approx(expected[1], abs=1e-12)
+
+
+def test_open_fraction_pins_the_default_sweep():
+    # Interval arithmetic only, so the fractions are the same bits anywhere.
+    config = load_config(CONFIG_PATH)
+    slits = config.layout().doubleslit
+    found = [
+        open_fraction(slits, make_mask(config.mask_opening_width, float(c)))
+        for c in np.linspace(-2.8e-6, 2.8e-6, 41)
+    ]
+    assert [(f1.hex(), f2.hex()) for f1, f2 in found] == [
+        (f1.hex(), f2.hex()) for f1, f2 in SWEEP_FRACTIONS
+    ]
 
 
 def test_open_fraction_mirror_relation():

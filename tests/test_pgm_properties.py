@@ -63,6 +63,27 @@ def test_write_takes_only_2d_uint16_images(tmp_path, image, got):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"P5\n2_0 +1\n65_535\n",
+        b"P5\n+20 1\n65535\n",
+        b"P5\n20 +1\n65535\n",
+        b"P5\n20 1\n+65535\n",
+        b"P5\n1_0 2\n65535\n",
+        b"P5\n20 1\n65_535\n",
+        # More digits than int() converts.
+        b"P5\n" + b"9" * 5000 + b" 1\n65535\n",
+    ],
+)
+def test_header_numbers_are_decimal_digits_only(frame_path, header):
+    # Each header but the last one holds 20 pixels for int(), which also
+    # takes '+' and '_'; the format allows ASCII decimal digits only.
+    frame_path.write_bytes(header + bytes(40))
+    with pytest.raises(FrameFileError, match="malformed header"):
+        read_pgm(frame_path)
+
+
 @PROPERTY
 @given(IMAGES)
 def test_images_round_trip(frame_path, image):

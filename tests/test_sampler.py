@@ -227,6 +227,13 @@ def test_render_rejects_bad_arguments():
         render_frame([], (0.0, 1.0), -2.0, 0.0, SEED, **camera)
     with pytest.raises(DomainError):
         render_frame([], (0.0, 1.0), 2.0, -0.1, SEED, **camera)
+    # A negative peak would render as counts wrapped up to 65535, and NaN as
+    # zeros with a cast warning.
+    ev = DetectionEvent(t=0.5, x=0.0, y=0.0)
+    for amplitude in (-5.0, 0.0, float("nan"), -float("inf")):
+        camera["amplitude"] = amplitude
+        with pytest.raises(DomainError, match="spot amplitude must be positive"):
+            render_frame([ev], (0.0, 1.0), 2.0, 0.0, SEED, **camera)
 
 
 # --- CSV round trip ----------------------------------------------------------
