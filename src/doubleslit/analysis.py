@@ -14,7 +14,13 @@ import numpy as np
 from .core import BeamParameters
 from .errors import DomainError
 from .geometry import BeamlineLayout, make_mask, open_fraction
-from .propagation import GridSpec, IntensityProfile, simulate_beamline
+from .propagation import (
+    GridSpec,
+    IntensityProfile,
+    check_beamline,
+    clipped_mask,
+    simulate_beamline,
+)
 from .sampler import profile_cdf
 
 
@@ -57,6 +63,26 @@ class SweepResult:
         return [e.label for e in self.entries]
 
 
+def classify_center(layout: BeamlineLayout, center: float) -> tuple[tuple[float, float], str]:
+    """The clear fraction of each slit behind a mask at `center`, and its label."""
+    fractions = open_fraction(layout.doubleslit, make_mask(layout.mask_opening_width, center))
+    return fractions, classify_fractions(*fractions)
+
+
+def check_sweep(layout: BeamlineLayout, beam: BeamParameters, centers, grid: GridSpec) -> None:
+    """Refuse, without propagating, mask centers that a sweep would refuse
+    at any of its passes: centers that do not strictly increase, a layout
+    and grid that no pass can run (`check_beamline`), and a center whose
+    mask cannot be made or whose clipped mask is too wide (`clipped_mask`).
+    It keeps nothing per center, so checking every center before the first
+    pass costs no memory."""
+    if any(b <= a for a, b in zip(centers, centers[1:])):
+        raise DomainError("mask centers must be strictly increasing")
+    check_beamline(layout, beam, grid)
+    for c in centers:
+        clipped_mask(layout, grid, float(c))
+
+
 def run_sweep(
     layout: BeamlineLayout,
     beam: BeamParameters,
@@ -65,23 +91,18 @@ def run_sweep(
 ) -> SweepResult:
     """Simulate the beamline at every mask center, in order.
 
-    The centers must strictly increase and each must give a mask; both are
-    refused before any propagation.  Each center is one beamline pass, whose
-    mask-independent half `field_at_mask` keeps while the inputs repeat.
+    Every center is checked by `check_sweep` before any propagation.  Each
+    center is one beamline pass, whose mask-independent half `field_at_mask`
+    keeps while the inputs repeat.  `doubleslit sweep` calls this once per
+    center, in the forked process that writes that center's file.
     """
     centers = [float(c) for c in centers]
-    if any(b <= a for a, b in zip(centers, centers[1:])):
-        raise DomainError("mask centers must be strictly increasing")
-    masks = [make_mask(layout.mask_opening_width, c) for c in centers]
+    check_sweep(layout, beam, centers, grid)
     entries = []
-    for c, mask in zip(centers, masks):
+    for c in centers:
+        fractions, label = classify_center(layout, c)
         profile = simulate_beamline(layout, beam, c, grid)
-        fr = open_fraction(layout.doubleslit, mask)
-        entries.append(
-            SweepEntry(
-                mask_center=c, profile=profile, fractions=fr, label=classify_fractions(*fr)
-            )
-        )
+        entries.append(SweepEntry(c, profile, fractions, label))
     return SweepResult(entries=tuple(entries))
 
 

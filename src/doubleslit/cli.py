@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import blobdetect, sampler, workers
-from .analysis import run_sweep
+from .analysis import check_sweep, classify_center, run_sweep
 from .buildup import run_buildup, run_detect
 from .config import RunConfig, config_text, load_config, parse_integer, parse_length
 from .core import mean_interelectron_distance
@@ -35,33 +35,42 @@ _BLOCK_ROWS = 4096  # rows per x-column template, filled by one % call
 
 
 def _write_profiles(
-    out: Path, name: Callable[[int], str], profiles: list[IntensityProfile]
+    out: Path,
+    name: Callable[[int], str],
+    count: int,
+    profile: Callable[[int], IntensityProfile],
 ) -> None:
-    """Write profiles[i] to out/name(i) as `x_m,intensity` rows with 17
-    significant digits; every profile lies on profiles[0]'s grid.
+    """Write profile(i) to out/name(i) for i in range(count) as
+    `x_m,intensity` rows with 17 significant digits; every profile lies on
+    one grid.
 
-    The x column is formatted once, before the fork, into row templates
-    `"<x>,%.17g\n"` of _BLOCK_ROWS rows each (the last block may hold
-    fewer); a file then takes one `%` per block of values.  Formatting holds
-    the GIL, so the files are written by forked processes
-    (`workers.run_forked`), which inherit the profiles and the templates;
-    pickling them to a spawned pool costs peak memory, and so does a
-    template of a whole file.
+    Formatting holds the GIL, so the files are written by forked processes
+    (`workers.run_forked`), each taking a contiguous range of indices and
+    calling `profile` for one index at a time: a process holds one profile,
+    computed where it is written (for `sweep`, by that center's beamline
+    pass, so the forked processes propagate too), and nothing is pickled.
+    Each process formats the x column of its first profile once, into row
+    templates `"<x>,%.17g\n"` of _BLOCK_ROWS rows each (the last block may
+    hold fewer); a file then takes one `%` per block of values.  A template
+    of a whole file would cost peak memory.
     """
-    x = profiles[0].x
-    xs = [
-        "".join([f"{v:.17g},%.17g\n" for v in x[lo : lo + _BLOCK_ROWS].tolist()])
-        for lo in range(0, x.size, _BLOCK_ROWS)
-    ]
+    xs: list[str] = []
 
     def write(i: int) -> None:
-        values = profiles[i].values
+        p = profile(i)
+        if not xs:
+            x = p.x
+            xs.extend(
+                "".join([f"{v:.17g},%.17g\n" for v in x[lo : lo + _BLOCK_ROWS].tolist()])
+                for lo in range(0, x.size, _BLOCK_ROWS)
+            )
+        values = p.values
         with open(out / name(i), "w", newline="") as fh:
             fh.write("x_m,intensity\n")
             for lo, block in zip(range(0, values.size, _BLOCK_ROWS), xs):
                 fh.write(block % tuple(values[lo : lo + _BLOCK_ROWS].tolist()))
 
-    workers.run_forked(len(profiles), write, name)
+    workers.run_forked(count, write, name)
 
 
 def _value_text(value) -> str:
@@ -154,7 +163,7 @@ def cmd_pattern(args) -> int:
         )
     profile = simulate_beamline(config.layout(), config.beam(), center, config.grid())
     out = _out_dir(args)
-    _write_profiles(out, lambda i: "pattern.csv", [profile])
+    _write_profiles(out, lambda i: "pattern.csv", 1, lambda i: profile)
     extras = _derived(config)
     extras["pattern.mask_center_m"] = "none" if center is None else float(center)
     _write_meta(out / "pattern.meta", config, extras)
@@ -169,6 +178,10 @@ def _sweep_name(i: int) -> str:
 
 
 def cmd_sweep(args) -> int:
+    """Every center is checked before `--out` exists; then each forked
+    process (`_write_profiles`) runs one center at a time through
+    `run_sweep` and writes its file, and the manifest follows once every
+    process has joined."""
     config = _beamline_config(args)
     lo = parse_length(args.start, "--from")
     hi = parse_length(args.stop, "--to")
@@ -177,32 +190,37 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--steps must be at least 2, got {steps}")
     if not lo < hi:
         raise ConfigError(f"--from ({args.start}) must be below --to ({args.stop})")
-    # A sweep holds every profile's float64 values and one pass's fields;
-    # checked here, since linspace would allocate the centres first.
+    # Each process holds one pass's fields and one profile, and the centers
+    # are float64; checked here, since linspace would allocate the centers.
     grid = config.grid()
+    jobs = len(workers.fork_ranges(steps))
     workers.refuse_beyond_memory(
-        f"--steps {steps} needs {steps} profiles of grid.n = {grid.n} float64 "
-        f"values and one pass of {PASS_FIELDS} complex128 fields",
-        steps * grid.n * 8 + PASS_FIELDS * 16 * grid.n,
+        f"--steps {steps} needs 8 bytes per center, and one pass of {PASS_FIELDS} "
+        f"complex128 fields and one profile of grid.n = {grid.n} float64 values "
+        f"in each of {jobs} processes",
+        8 * steps + jobs * (PASS_FIELDS * 16 + 8) * grid.n,
     )
     centers = np.linspace(lo, hi, steps)
+    layout, beam = config.layout(), config.beam()
     try:
-        result = run_sweep(config.layout(), config.beam(), centers, grid)
+        check_sweep(layout, beam, centers, grid)
     except DomainError as exc:
         raise ConfigError(f"argument: --from, --to and --steps: {exc}") from exc
     out = _out_dir(args)
-    # SweepResult holds one grid for all profiles.
-    _write_profiles(out, _sweep_name, [entry.profile for entry in result.entries])
+    _write_profiles(
+        out,
+        _sweep_name,
+        steps,
+        lambda i: run_sweep(layout, beam, centers[i : i + 1], grid).entries[0].profile,
+    )
     with open(out / "manifest.csv", "w", newline="") as fh:
         fh.write("index,center_m,fraction_slit1,fraction_slit2,label,file\n")
-        for i, entry in enumerate(result.entries):
-            f1, f2 = entry.fractions
-            fh.write(
-                f"{i},{entry.mask_center:.17g},{f1:.17g},{f2:.17g},"
-                f"{entry.label},{_sweep_name(i)}\n"
-            )
+        for i in range(steps):
+            c = float(centers[i])
+            (f1, f2), label = classify_center(layout, c)
+            fh.write(f"{i},{c:.17g},{f1:.17g},{f2:.17g},{label},{_sweep_name(i)}\n")
     _write_meta(out / "sweep.meta", config, _derived(config))
-    print(f"sweep: {len(result.entries)} mask positions -> {out / 'manifest.csv'}")
+    print(f"sweep: {steps} mask positions -> {out / 'manifest.csv'}")
     return 0
 
 

@@ -80,7 +80,7 @@ class WaveField:
     @property
     def window(self) -> tuple[float, float]:
         """Extent covered by the sample cells, [x0 - dx/2, x_last + dx/2]."""
-        return self.x0 - 0.5 * self.dx, self.x0 + (self.n - 0.5) * self.dx
+        return _cell_window(self.x0, self.dx, self.n)
 
     def power(self) -> float:
         """Discrete L2 norm squared, sum |a|^2 dx."""
@@ -146,6 +146,10 @@ def symmetric_grid_origin(n: int, dx: float) -> float:
     return -(n - 1) / 2 * dx
 
 
+def _cell_window(x0: float, dx: float, n: int) -> tuple[float, float]:
+    return x0 - 0.5 * dx, x0 + (n - 0.5) * dx
+
+
 def apply_aperture(field: WaveField, aperture: ApertureSpec) -> WaveField:
     """Multiply the field by the aperture indicator, anti-aliased at edges.
 
@@ -160,6 +164,16 @@ def apply_aperture(field: WaveField, aperture: ApertureSpec) -> WaveField:
             )
     t = sampled_transmission(aperture, field.x0, field.dx, field.n)
     return replace(field, amplitudes=field.amplitudes * t)
+
+
+def _check_nyquist(lam: float, dx: float) -> None:
+    nyquist_angle = lam / (2 * dx)
+    if nyquist_angle < DEFAULT_MAX_ANGLE:
+        raise GridConfigError(
+            f"grid Nyquist angle {nyquist_angle:.3e} rad does not cover the "
+            f"required maximum diffraction angle {DEFAULT_MAX_ANGLE:.3e} rad; "
+            f"decrease dx below {lam / (2 * DEFAULT_MAX_ANGLE):.3e} m"
+        )
 
 
 def angular_spectrum_step(field: WaveField, z: float) -> WaveField:
@@ -182,13 +196,7 @@ def angular_spectrum_step(field: WaveField, z: float) -> WaveField:
     if z < 0:
         raise DomainError(f"propagation distance must be nonnegative, got {z}")
     lam = field.wavelength
-    nyquist_angle = lam / (2 * field.dx)
-    if nyquist_angle < DEFAULT_MAX_ANGLE:
-        raise GridConfigError(
-            f"grid Nyquist angle {nyquist_angle:.3e} rad does not cover the "
-            f"required maximum diffraction angle {DEFAULT_MAX_ANGLE:.3e} rad; "
-            f"decrease dx below {lam / (2 * DEFAULT_MAX_ANGLE):.3e} m"
-        )
+    _check_nyquist(lam, field.dx)
     if z == 0:
         return replace(field, amplitudes=field.amplitudes.copy())
     n = field.n
@@ -330,6 +338,26 @@ def _check_support(aperture: ApertureSpec, window: float, name: str) -> None:
         )
 
 
+def check_beamline(layout: BeamlineLayout, beam: BeamParameters, grid: GridSpec) -> None:
+    """Refuse, without propagating, a slit layout, beam and grid that every
+    beamline pass would refuse: a double slit wider than a quarter of the
+    window, or a grid too coarse for DEFAULT_MAX_ANGLE."""
+    _check_support(layout.doubleslit, grid.window, "double-slit")
+    _check_nyquist(beam.wavelength, grid.dx)
+
+
+def clipped_mask(layout: BeamlineLayout, grid: GridSpec, mask_center: float) -> ApertureSpec:
+    """The mask at mask_center, clipped to the mask-plane grid window, as a
+    pass applies it; refused, without propagating, when the mask cannot be
+    made or its clipped support exceeds a quarter of the window.  A mask
+    clipped away entirely is blocked."""
+    n, dx = grid.n, grid.dx
+    window = _cell_window(symmetric_grid_origin(n, dx), dx, n)
+    mask = make_mask(layout.mask_opening_width, mask_center).intersect(*window)
+    _check_support(mask, grid.window, "mask")
+    return mask
+
+
 @_keep_on_repeat
 def field_at_mask(
     layout: BeamlineLayout,
@@ -344,7 +372,7 @@ def field_at_mask(
     """
     n, dx = grid.n, grid.dx
     x0 = symmetric_grid_origin(n, dx)
-    _check_support(layout.doubleslit, grid.window, "double-slit")
+    check_beamline(layout, beam, grid)
     plane_wave = np.ones(n, dtype=np.complex128)
     field = WaveField(x0=x0, dx=dx, wavelength=beam.wavelength, amplitudes=plane_wave)
     field = apply_aperture(field, layout.doubleslit)
@@ -370,10 +398,7 @@ def simulate_detector_field(
     """
     field = field_at_mask(layout, beam, grid)
     if mask_center is not None:
-        mask = make_mask(layout.mask_opening_width, mask_center)
-        mask = mask.intersect(*field.window)
-        _check_support(mask, grid.window, "mask")
-        field = apply_aperture(field, mask)
+        field = apply_aperture(field, clipped_mask(layout, grid, mask_center))
     field = fresnel_transform_step(field, layout.z_mask_to_detector)
     return magnify(field, layout.magnification)
 

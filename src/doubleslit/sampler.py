@@ -9,6 +9,7 @@ for bit, and any one chunk can be drawn on its own from its key.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -160,6 +161,10 @@ def render_frame(
         raise DomainError(f"background rate must be nonnegative, got {background_rate}")
     if not amplitude > 0:
         raise DomainError(f"spot amplitude must be positive, got {amplitude}")
+    if not 0 < pitch < math.inf:
+        raise DomainError(f"pixel pitch must be finite and positive, got {pitch}")
+    if width < 1 or height < 1:
+        raise DomainError(f"frame must be at least 1 x 1 pixels, got {width} x {height}")
     cols = pixel_offsets(np.arange(width), width)
     rows = pixel_offsets(np.arange(height), height)
     canvas = np.zeros((height, width))

@@ -3,9 +3,10 @@
 The calling thread or process takes the first range, results join in range
 order, every worker is joined before a runner returns or raises, and the
 error of the earliest failing range wins.  Work that releases the GIL (blob
-detection) runs on threads; work that holds it (number formatting) runs in
-forked processes.  Memory that a run would need is checked here too, before
-it is allocated.
+detection) runs on threads; work that holds it (a sweep's beamline passes
+and the number formatting of their files) runs in forked processes, each
+of which computes and writes its own items.  Memory that a run would need
+is checked here too, before it is allocated.
 """
 from __future__ import annotations
 
@@ -85,9 +86,16 @@ def map_threads(n: int, item: Callable[[int], object]) -> list:
     return [result for part in parts for result in part]
 
 
+def fork_ranges(n: int) -> list[range]:
+    """The ranges of run_forked(n, ...), one per process: one per CPU, and
+    one only without the fork start method."""
+    jobs = worker_count() if "fork" in multiprocessing.get_all_start_methods() else 1
+    return split(n, jobs)
+
+
 def run_forked(n: int, work: Callable[[int], None], name: Callable[[int], str]) -> None:
     """work(i) for i in range(n): the calling process runs the first range,
-    and one forked child runs each other range.
+    and one forked child runs each other range (`fork_ranges`).
 
     A child inherits `work` and all it reads, so nothing is pickled on the
     way in; `work` must take no lock that a thread of the parent might hold.
@@ -107,8 +115,7 @@ def run_forked(n: int, work: Callable[[int], None], name: Callable[[int], str]) 
     def child_main(part: range, send) -> None:
         send.send(run(part))
 
-    jobs = worker_count() if "fork" in multiprocessing.get_all_start_methods() else 1
-    ranges = split(n, jobs)
+    ranges = fork_ranges(n)
     children = []
     try:
         for part in ranges[1:]:

@@ -2,6 +2,7 @@
 import csv
 import multiprocessing
 import os
+import shutil
 import signal
 import sys
 
@@ -104,7 +105,7 @@ def test_profile_writer_matches_per_row_reference(tmp_path, x0, dx):
         for vals in (EXTREME_VALUES, EXTREME_VALUES[::-1],
                      np.random.default_rng(3).random(9) ** 9)
     ]
-    _write_profiles(tmp_path, lambda i: f"shared_{i}.csv", profiles)
+    _write_profiles(tmp_path, lambda i: f"shared_{i}.csv", len(profiles), profiles.__getitem__)
     for i, profile in enumerate(profiles):
         expected = tmp_path / f"ref_{i}.csv"
         reference_write_profile_csv(expected, profile)
@@ -212,6 +213,30 @@ def test_sweep_files_match_reference_at_any_worker_count(
     assert multiprocessing.active_children() == []
 
 
+def test_sweep_streams_one_center_per_pass(tmp_path, mini_config, monkeypatch):
+    # A sweep process runs one center per run_sweep call, in order, and has
+    # dropped a center's profile before it starts the next pass.
+    import weakref
+
+    import doubleslit.cli
+    import doubleslit.workers
+
+    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 1)
+    real_run_sweep = doubleslit.cli.run_sweep
+    seen, held = [], []
+
+    def one_center(layout, beam, centers, grid):
+        assert all(ref() is None for ref in held)
+        result = real_run_sweep(layout, beam, centers, grid)
+        seen.append([float(c) for c in centers])
+        held[:] = [weakref.ref(entry.profile) for entry in result.entries]
+        return result
+
+    monkeypatch.setattr(doubleslit.cli, "run_sweep", one_center)
+    assert run("sweep", "--config", mini_config, "--out", str(tmp_path), *SWEEP_ARGS) == 0
+    assert seen == [[c] for c in np.linspace(-2.8e-6, 2.8e-6, 5).tolist()]
+
+
 @pytest.mark.parametrize(
     "blocked,named",
     [
@@ -265,8 +290,9 @@ def test_sweep_writer_killed_by_a_signal_is_named(tmp_path, mini_config, capsys,
 
 
 def test_sweep_refuses_steps_beyond_physical_memory(tmp_path, mini_config, capsys, monkeypatch):
-    # A sweep holds steps x grid.n float64 values and one pass's fields;
-    # refused before any allocation or propagation, naming --steps.
+    # Each sweep process holds one pass's fields and one profile, and the
+    # centers take 8 bytes each; refused before any allocation or
+    # propagation, naming --steps.
     import doubleslit.cli
     import doubleslit.workers
 
@@ -284,21 +310,46 @@ def test_sweep_refuses_steps_beyond_physical_memory(tmp_path, mini_config, capsy
     assert "--steps 1000000000000" in err and "Traceback" not in err
     assert not (tmp_path / "nested").exists()
 
-    # The default grid has 65536 samples: 5 steps need exactly
-    # 5 x 65536 x 8 bytes of profiles and 9 x 16 x 65536 bytes for a pass.
-    need = 5 * 65536 * 8 + 9 * 16 * 65536
+    # The default grid has 65536 samples: 5 steps on 2 processes need
+    # exactly 5 x 8 bytes of centers and, in each process, 9 x 16 x 65536
+    # bytes for a pass and 65536 x 8 for a profile.
+    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 2)
+    need = 5 * 8 + 2 * (9 * 16 * 65536 + 65536 * 8)
     monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: need - 1)
     assert run(*argv, "--steps", "5") == 2
     err = capsys.readouterr().err
-    assert (f"--steps 5 needs 5 profiles of grid.n = 65536 float64 values and one pass "
-            f"of 9 complex128 fields, {need} bytes, more than the {need - 1} bytes") in err
+    assert (f"error: --steps 5 needs 8 bytes per center, and one pass of 9 complex128 "
+            f"fields and one profile of grid.n = 65536 float64 values in each of 2 "
+            f"processes, {need} bytes, more than the {need - 1} bytes") in err
     assert not (tmp_path / "nested").exists()
-    monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: need)
-    with pytest.raises(AssertionError, match="run_sweep called"):
-        run(*argv, "--steps", "5")
-    monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: None)
-    with pytest.raises(AssertionError, match="run_sweep called"):
-        run(*argv, "--steps", "5")
+    monkeypatch.undo()
+    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 2)
+    for memory in (need, None):
+        monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda m=memory: m)
+        assert run(*argv, "--steps", "5") == 0
+        assert len(list(out.glob("sweep_*.csv"))) == 5
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_checks_every_center_before_any_pass(tmp_path, capsys, monkeypatch):
+    # In a 16 um window a mask's support may span 4 um.  The first center's
+    # 5 um opening is clipped to 1.5 um by the window edge; the second
+    # center's is whole.  Refused before --out exists and before any pass,
+    # so no forked process can meet a refusal after files exist.
+    import doubleslit.cli
+    import doubleslit.propagation
+
+    monkeypatch.setattr(doubleslit.propagation, "simulate_beamline", no_propagation)
+    monkeypatch.setattr(doubleslit.cli, "run_sweep", no_propagation)
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(MINI_CONFIG + "grid.window = 16 um\n")
+    out = tmp_path / "nested" / "out"
+    argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+    assert run(*argv, "--from", "-9 um", "--to", "0", "--steps", "3") == 2
+    err = capsys.readouterr().err
+    assert "error: mask support 5.000e-06 m exceeds a quarter of the 1.600e-05 m" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "nested").exists()
 
 
 def no_propagation(*args, **kwargs):
@@ -341,7 +392,7 @@ def test_grid_beyond_physical_memory_is_refused(
     for memory in (need, None):
         monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda m=memory: m)
         if command == "sweep" and memory is not None:
-            # Five profiles of float64 need more than one pass alone.
+            # A pass and a profile need more than a pass alone.
             assert run(*argv) == 2
             err = capsys.readouterr().err
             assert "grid.n = 65536 needs" not in err
@@ -349,6 +400,11 @@ def test_grid_beyond_physical_memory_is_refused(
             continue
         with pytest.raises(AssertionError, match="propagation reached"):
             run(*argv)
+        if command == "sweep":
+            # A sweep propagates in the processes that write its files, so
+            # --out exists by then, but holds no file before the first pass.
+            assert list(out.iterdir()) == []
+            shutil.rmtree(tmp_path / "nested")
 
     # 2^50 samples need 16 PiB, more than any address space: refused with the
     # machine's own memory figure.
@@ -822,6 +878,8 @@ def test_overlong_number_flag_is_named_by_its_length(
         ("", ["pattern", "--seed", "7_0"]),
         ("", ["sweep", "--from", "0", "--to", "1 um", "--steps", "7_0"]),
         ("", ["pattern", "--seed", "\u0667\u0660"]),
+        # The Nyquist guard of a sweep, checked before any of its passes.
+        ("grid.n = 4096", ["sweep", "--from", "0", "--to", "1 um", "--steps", "3"]),
     ],
 )
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys, config, argv):

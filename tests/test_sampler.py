@@ -234,6 +234,16 @@ def test_render_rejects_bad_arguments():
         camera["amplitude"] = amplitude
         with pytest.raises(DomainError, match="spot amplitude must be positive"):
             render_frame([ev], (0.0, 1.0), 2.0, 0.0, SEED, **camera)
+    # A negative pitch would mirror the spot, zero divide by zero, NaN render
+    # zeros with a cast warning and infinity centre every spot; a width below
+    # 1 would fail inside numpy or return an empty frame.
+    camera["amplitude"] = 1000.0
+    for pitch in (-12e-6, 0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="pixel pitch must be finite and positive"):
+            render_frame([ev], (0.0, 1.0), 2.0, 0.0, SEED, **{**camera, "pitch": pitch})
+    for size in ({"width": -3}, {"width": 0}, {"height": 0}):
+        with pytest.raises(DomainError, match="frame must be at least 1 x 1 pixels"):
+            render_frame([ev], (0.0, 1.0), 2.0, 0.0, SEED, **{**camera, **size})
 
 
 # --- CSV round trip ----------------------------------------------------------
