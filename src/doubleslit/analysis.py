@@ -63,12 +63,6 @@ class SweepResult:
         return [e.label for e in self.entries]
 
 
-def classify_center(layout: BeamlineLayout, center: float) -> tuple[tuple[float, float], str]:
-    """The clear fraction of each slit behind a mask at `center`, and its label."""
-    fractions = open_fraction(layout.doubleslit, make_mask(layout.mask_opening_width, center))
-    return fractions, classify_fractions(*fractions)
-
-
 def check_sweep(layout: BeamlineLayout, beam: BeamParameters, centers, grid: GridSpec) -> None:
     """Refuse, without propagating, mask centers that a sweep would refuse
     at any of its passes: centers that do not strictly increase, a layout
@@ -94,15 +88,16 @@ def run_sweep(
     Every center is checked by `check_sweep` before any propagation.  Each
     center is one beamline pass, whose mask-independent half `field_at_mask`
     keeps while the inputs repeat.  `doubleslit sweep` calls this once per
-    center, in the forked process that writes that center's file.
+    center, so that it holds no more profiles than its writers need, and
+    reads each center's slit fractions and label from the entry.
     """
     centers = [float(c) for c in centers]
     check_sweep(layout, beam, centers, grid)
     entries = []
     for c in centers:
-        fractions, label = classify_center(layout, c)
+        fractions = open_fraction(layout.doubleslit, make_mask(layout.mask_opening_width, c))
         profile = simulate_beamline(layout, beam, c, grid)
-        entries.append(SweepEntry(c, profile, fractions, label))
+        entries.append(SweepEntry(c, profile, fractions, classify_fractions(*fractions)))
     return SweepResult(entries=tuple(entries))
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import blobdetect, sampler, workers
-from .analysis import check_sweep, classify_center, run_sweep
+from .analysis import check_sweep, run_sweep
 from .buildup import run_buildup, run_detect
 from .config import RunConfig, config_text, load_config, parse_integer, parse_length
 from .core import mean_interelectron_distance
@@ -32,6 +32,8 @@ from .propagation import PASS_FIELDS, IntensityProfile, forget_kept, simulate_be
 
 
 _BLOCK_ROWS = 4096  # rows per x-column template, filled by one % call
+# Template bytes per row: an x of at most 24 characters and ",%.17g\n".
+_TEMPLATE_BYTES = 32
 
 
 def _write_profiles(
@@ -45,18 +47,19 @@ def _write_profiles(
     one grid.
 
     Formatting holds the GIL, so the files are written by forked processes
-    (`workers.run_forked`), each taking a contiguous range of indices and
-    calling `profile` for one index at a time: a process holds one profile,
-    computed where it is written (for `sweep`, by that center's beamline
-    pass, so the forked processes propagate too), and nothing is pickled.
-    Each process formats the x column of its first profile once, into row
-    templates `"<x>,%.17g\n"` of _BLOCK_ROWS rows each (the last block may
-    hold fewer); a file then takes one `%` per block of values.  A template
-    of a whole file would cost peak memory.
+    (`workers.run_forked`).  `profile` runs here, in order (for `sweep`, a
+    beamline pass), and each profile's values go through a pipe to the
+    process that writes them, so that this process holds one profile and
+    each writer one, whatever `count` is.  The x column of the first
+    profile is formatted once, before the fork, into row templates
+    `"<x>,%.17g\n"` of _BLOCK_ROWS rows each (the last block may hold
+    fewer), at most _TEMPLATE_BYTES bytes per row, which the writers
+    inherit; a file then takes one `%` per block of values.  A template of
+    a whole file would cost peak memory.
     """
     xs: list[str] = []
 
-    def write(i: int) -> None:
+    def values(i: int) -> np.ndarray:
         p = profile(i)
         if not xs:
             x = p.x
@@ -64,13 +67,16 @@ def _write_profiles(
                 "".join([f"{v:.17g},%.17g\n" for v in x[lo : lo + _BLOCK_ROWS].tolist()])
                 for lo in range(0, x.size, _BLOCK_ROWS)
             )
-        values = p.values
+        return np.ascontiguousarray(p.values)
+
+    def write(i: int, data) -> None:
+        values = np.frombuffer(data)
         with open(out / name(i), "w", newline="") as fh:
             fh.write("x_m,intensity\n")
             for lo, block in zip(range(0, values.size, _BLOCK_ROWS), xs):
                 fh.write(block % tuple(values[lo : lo + _BLOCK_ROWS].tolist()))
 
-    workers.run_forked(count, write, name)
+    workers.run_forked(count, values, write, name)
 
 
 def _value_text(value) -> str:
@@ -178,10 +184,10 @@ def _sweep_name(i: int) -> str:
 
 
 def cmd_sweep(args) -> int:
-    """Every center is checked before `--out` exists; then each forked
-    process (`_write_profiles`) runs one center at a time through
-    `run_sweep` and writes its file, and the manifest follows once every
-    process has joined."""
+    """Every center is checked before `--out` exists; then `_write_profiles`
+    runs the centers through `run_sweep` one at a time, here, while forked
+    processes write their files.  The manifest follows once every file is
+    written."""
     config = _beamline_config(args)
     lo = parse_length(args.start, "--from")
     hi = parse_length(args.stop, "--to")
@@ -190,15 +196,18 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--steps must be at least 2, got {steps}")
     if not lo < hi:
         raise ConfigError(f"--from ({args.start}) must be below --to ({args.stop})")
-    # Each process holds one pass's fields and one profile, and the centers
-    # are float64; checked here, since linspace would allocate the centers.
+    # A center, its two slit fractions and its label reference take 32
+    # bytes; checked here, since linspace would allocate the centers.  Per
+    # grid sample, this process holds one pass and the x-column templates,
+    # and it and each writer one profile.
     grid = config.grid()
-    jobs = len(workers.fork_ranges(steps))
+    processes = 1 + workers.fork_count(steps)
     workers.refuse_beyond_memory(
-        f"--steps {steps} needs 8 bytes per center, and one pass of {PASS_FIELDS} "
-        f"complex128 fields and one profile of grid.n = {grid.n} float64 values "
-        f"in each of {jobs} processes",
-        8 * steps + jobs * (PASS_FIELDS * 16 + 8) * grid.n,
+        f"--steps {steps} needs 32 bytes per center, and for each of grid.n = "
+        f"{grid.n} samples one pass of {PASS_FIELDS} complex128 fields, "
+        f"{_TEMPLATE_BYTES} bytes of row templates and one float64 profile "
+        f"in each of {processes} processes",
+        32 * steps + (PASS_FIELDS * 16 + _TEMPLATE_BYTES + 8 * processes) * grid.n,
     )
     centers = np.linspace(lo, hi, steps)
     layout, beam = config.layout(), config.beam()
@@ -206,18 +215,21 @@ def cmd_sweep(args) -> int:
         check_sweep(layout, beam, centers, grid)
     except DomainError as exc:
         raise ConfigError(f"argument: --from, --to and --steps: {exc}") from exc
+    fractions = np.empty((steps, 2))
+    labels = [""] * steps
+
+    def profile(i: int) -> IntensityProfile:
+        (entry,) = run_sweep(layout, beam, centers[i : i + 1], grid).entries
+        fractions[i] = entry.fractions
+        labels[i] = entry.label
+        return entry.profile
+
     out = _out_dir(args)
-    _write_profiles(
-        out,
-        _sweep_name,
-        steps,
-        lambda i: run_sweep(layout, beam, centers[i : i + 1], grid).entries[0].profile,
-    )
+    _write_profiles(out, _sweep_name, steps, profile)
     with open(out / "manifest.csv", "w", newline="") as fh:
         fh.write("index,center_m,fraction_slit1,fraction_slit2,label,file\n")
-        for i in range(steps):
-            c = float(centers[i])
-            (f1, f2), label = classify_center(layout, c)
+        rows = zip(centers.tolist(), fractions.tolist(), labels)
+        for i, (c, (f1, f2), label) in enumerate(rows):
             fh.write(f"{i},{c:.17g},{f1:.17g},{f2:.17g},{label},{_sweep_name(i)}\n")
     _write_meta(out / "sweep.meta", config, _derived(config))
     print(f"sweep: {steps} mask positions -> {out / 'manifest.csv'}")

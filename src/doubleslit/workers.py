@@ -1,12 +1,12 @@
-"""Every split of work across CPUs: range(n) as contiguous ranges, one per CPU.
+"""Every split of work across CPUs, one worker per CPU.
 
-The calling thread or process takes the first range, results join in range
-order, every worker is joined before a runner returns or raises, and the
-error of the earliest failing range wins.  Work that releases the GIL (blob
-detection) runs on threads; work that holds it (a sweep's beamline passes
-and the number formatting of their files) runs in forked processes, each
-of which computes and writes its own items.  Memory that a run would need
-is checked here too, before it is allocated.
+Work that releases the GIL (blob detection) runs on threads, over
+contiguous ranges of range(n) of which the calling thread takes the first.
+Work that holds it (number formatting) runs in forked processes, which
+take their items in turn from the calling process as it computes them.
+Every worker is joined before a runner returns or raises, and the error of
+the earliest failing item wins.  Memory that a run would need is checked
+here too, before it is allocated.
 """
 from __future__ import annotations
 
@@ -86,67 +86,111 @@ def map_threads(n: int, item: Callable[[int], object]) -> list:
     return [result for part in parts for result in part]
 
 
-def fork_ranges(n: int) -> list[range]:
-    """The ranges of run_forked(n, ...), one per process: one per CPU, and
-    one only without the fork start method."""
+def fork_count(n: int) -> int:
+    """The processes run_forked(n, ...) forks: one per CPU, at most n, and
+    none with one CPU or without the fork start method."""
     jobs = worker_count() if "fork" in multiprocessing.get_all_start_methods() else 1
-    return split(n, jobs)
+    jobs = min(jobs, n)
+    return jobs if jobs > 1 else 0
 
 
-def run_forked(n: int, work: Callable[[int], None], name: Callable[[int], str]) -> None:
-    """work(i) for i in range(n): the calling process runs the first range,
-    and one forked child runs each other range (`fork_ranges`).
+def run_forked(
+    n: int,
+    item: Callable[[int], object],
+    work: Callable[[int, object], None],
+    name: Callable[[int], str],
+) -> None:
+    """work(i, item(i)) for i in range(n): `item` runs in the calling
+    process, in order, and `work` in a forked child.
 
-    A child inherits `work` and all it reads, so nothing is pickled on the
-    way in; `work` must take no lock that a thread of the parent might hold.
-    A range stops at its first OSError.  A child lost without one becomes an
-    OSError naming its first and last item through `name`.  With one CPU,
-    or without the fork start method, every item runs here.
+    `item` returns a C-contiguous buffer, which reaches its child as bytes
+    through a pipe; `work` reads it as a buffer, since without children it
+    gets the buffer itself.  The w children (`fork_count`) are forked once
+    item(0) is ready, so they inherit what it built.  Child k takes items
+    k, k + w, k + 2w, ... and gets each once it has reported the one
+    before, so the calling process holds one item and each child one.  A
+    child inherits `work` and all it reads; `work` must take no lock that
+    a thread of the parent might hold.
+
+    The calling process stops at the first OSError a child reports, and a
+    child lost while it works becomes an OSError naming its item through
+    `name`.  Every child is joined, and the error of the earliest item is
+    raised.  Without children every item runs here.
     """
-
-    def run(part: range) -> OSError | None:
-        try:
-            for i in part:
-                work(i)
-        except OSError as exc:
-            return exc
-        return None
-
-    def child_main(part: range, send) -> None:
-        send.send(run(part))
-
-    ranges = fork_ranges(n)
-    children = []
+    jobs = fork_count(n)
+    if not jobs:
+        for i in range(n):
+            work(i, item(i))
+        return
+    context = multiprocessing.get_context("fork")
+    children: list[list] = []  # [process, connection, item it works on]
+    errors: list[tuple[int, OSError]] = []
     try:
-        for part in ranges[1:]:
-            context = multiprocessing.get_context("fork")
-            receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=child_main, args=(part, send))
+        for i in range(n):
+            data = item(i)
+            while len(children) < jobs:
+                here, there = context.Pipe()
+                # The child closes every parent end it inherits, so that it
+                # sees EOF once the parent closes its own.
+                ends = [slot[1] for slot in children] + [here]
+                args = (len(children), jobs, n, work, there, ends)
+                child = context.Process(target=_serve, args=args)
+                try:
+                    child.start()
+                finally:
+                    there.close()
+                children.append([child, here, None])
+            slot = children[i % jobs]
+            errors += _report(slot, name)
+            if errors:
+                break
             try:
-                child.start()
-            finally:
-                # Only the child holds the sending end, so a child that dies
-                # before sending ends the parent's recv with EOFError.
-                send.close()
-            children.append((part, child, receive))
-        first = run(ranges[0]) if ranges else None
+                slot[1].send_bytes(data)
+            except OSError:
+                pass  # the child is lost; _report names it
+            slot[2] = i
+            del data
     finally:
-        later = [_join(*c, name) for c in children]
-    for error in [first, *later]:
-        if error is not None:
-            raise error
+        for slot in children:
+            errors += _report(slot, name)
+            slot[1].close()
+            slot[0].join()
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
 
 
-def _join(part: range, child, receive, name: Callable[[int], str]) -> OSError | None:
-    """Wait for a forked child; its OSError, or one for a lost child."""
+def _serve(k: int, jobs: int, n: int, work, connection, ends) -> None:
+    """A forked child: work(i, data) on items k, k + jobs, ... as they
+    arrive, reporting None or the OSError of each; stop at EOF or at an
+    OSError."""
+    for end in ends:
+        end.close()
+    for i in range(k, n, jobs):
+        try:
+            data = connection.recv_bytes()
+        except EOFError:
+            return
+        try:
+            work(i, data)
+        except OSError as exc:
+            connection.send(exc)
+            return
+        connection.send(None)
+        del data
+
+
+def _report(slot: list, name: Callable[[int], str]) -> list[tuple[int, OSError]]:
+    """Wait for a child's report on the item it works on, if any; its
+    OSError, or one for a child lost while it worked, with the item."""
+    child, connection, i = slot
+    if i is None:
+        return []
+    slot[2] = None
     try:
-        error = receive.recv()
+        error = connection.recv()
     except EOFError:
-        error = None
-    child.join()
-    receive.close()
-    if error is None and child.exitcode != 0:
+        child.join()
         code = child.exitcode
         how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-        error = OSError(f"the writer of {name(part[0])} to {name(part[-1])} {how}")
-    return error
+        error = OSError(f"the writer of {name(i)} {how}")
+    return [] if error is None else [(i, error)]

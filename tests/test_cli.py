@@ -214,41 +214,49 @@ def test_sweep_files_match_reference_at_any_worker_count(
 
 
 def test_sweep_streams_one_center_per_pass(tmp_path, mini_config, monkeypatch):
-    # A sweep process runs one center per run_sweep call, in order, and has
-    # dropped a center's profile before it starts the next pass.
+    # At 2 writers this process runs every center, one per run_sweep call,
+    # in order, and holds no earlier profile or values when a pass starts.
     import weakref
 
     import doubleslit.cli
     import doubleslit.workers
 
-    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 1)
+    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 2)
     real_run_sweep = doubleslit.cli.run_sweep
+    parent = os.getpid()
     seen, held = [], []
 
     def one_center(layout, beam, centers, grid):
+        assert os.getpid() == parent
         assert all(ref() is None for ref in held)
         result = real_run_sweep(layout, beam, centers, grid)
         seen.append([float(c) for c in centers])
-        held[:] = [weakref.ref(entry.profile) for entry in result.entries]
+        for entry in result.entries:
+            held.extend([weakref.ref(entry.profile), weakref.ref(entry.profile.values)])
         return result
 
     monkeypatch.setattr(doubleslit.cli, "run_sweep", one_center)
     assert run("sweep", "--config", mini_config, "--out", str(tmp_path), *SWEEP_ARGS) == 0
     assert seen == [[c] for c in np.linspace(-2.8e-6, 2.8e-6, 5).tolist()]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(
     "blocked,named",
     [
-        (["sweep_004.csv"], "sweep_004.csv"),  # in the child's range
-        (["sweep_000.csv"], "sweep_000.csv"),  # in the parent's range
+        (["sweep_004.csv"], "sweep_004.csv"),  # the last file
+        (["sweep_000.csv"], "sweep_000.csv"),  # the first file
         (["sweep_000.csv", "sweep_004.csv"], "sweep_000.csv"),
+        (["sweep_001.csv", "sweep_002.csv"], "sweep_001.csv"),  # both writers fail
     ],
 )
 def test_sweep_write_error_names_the_earliest_file(
     tmp_path, mini_config, capsys, monkeypatch, blocked, named
 ):
-    # At 2 workers the parent writes sweep_000..001 and one child 002..004.
+    # At 2 writers one writes the even files and the other the odd ones,
+    # each given its next file once it has reported the last.  This process
+    # stops at the first error reported, so no file two or more beyond the
+    # earliest failing one is written.
     import doubleslit.workers
 
     monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 2)
@@ -261,38 +269,44 @@ def test_sweep_write_error_names_the_earliest_file(
     assert "Traceback" not in err
     assert [name for name in blocked if name in err] == [named]
     assert not (out / "manifest.csv").exists()
+    handed_out = [f"sweep_{j:03d}.csv" for j in range(min(5, int(named[6:9]) + 2))]
+    assert sorted(p.name for p in out.glob("sweep_*.csv") if p.is_file()) == [
+        name for name in handed_out if name not in blocked
+    ]
     assert multiprocessing.active_children() == []
 
 
 def test_sweep_writer_killed_by_a_signal_is_named(tmp_path, mini_config, capsys, monkeypatch):
+    # At 2 writers the second writes sweep_001, sweep_003.
     import doubleslit.workers
 
     monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 2)
     parent = os.getpid()
     run_forked = doubleslit.workers.run_forked
 
-    def dying_run_forked(n, work, name):
-        def dying_work(i):
+    def dying_run_forked(n, item, work, name):
+        def dying_work(i, data):
             if os.getpid() != parent and name(i) == "sweep_003.csv":
                 os.kill(os.getpid(), signal.SIGKILL)
-            work(i)
+            work(i, data)
 
-        run_forked(n, dying_work, name)
+        run_forked(n, item, dying_work, name)
 
     monkeypatch.setattr(doubleslit.workers, "run_forked", dying_run_forked)
     out = tmp_path / "sweep"
     assert run("sweep", "--config", mini_config, "--out", str(out), *SWEEP_ARGS) == 3
     err = capsys.readouterr().err
-    assert "sweep_002.csv to sweep_004.csv was killed by signal 9" in err
+    assert "error: the writer of sweep_003.csv was killed by signal 9" in err
     assert "Traceback" not in err
-    assert (out / "sweep_001.csv").exists() and not (out / "manifest.csv").exists()
+    assert (out / "sweep_002.csv").exists() and not (out / "sweep_003.csv").exists()
+    assert not (out / "manifest.csv").exists()
     assert multiprocessing.active_children() == []
 
 
 def test_sweep_refuses_steps_beyond_physical_memory(tmp_path, mini_config, capsys, monkeypatch):
-    # Each sweep process holds one pass's fields and one profile, and the
-    # centers take 8 bytes each; refused before any allocation or
-    # propagation, naming --steps.
+    # A sweep holds one pass's fields and the x-column templates, one
+    # profile in each of its processes and 32 bytes per center; refused
+    # before any allocation or propagation, naming --steps.
     import doubleslit.cli
     import doubleslit.workers
 
@@ -310,17 +324,19 @@ def test_sweep_refuses_steps_beyond_physical_memory(tmp_path, mini_config, capsy
     assert "--steps 1000000000000" in err and "Traceback" not in err
     assert not (tmp_path / "nested").exists()
 
-    # The default grid has 65536 samples: 5 steps on 2 processes need
-    # exactly 5 x 8 bytes of centers and, in each process, 9 x 16 x 65536
-    # bytes for a pass and 65536 x 8 for a profile.
+    # The default grid has 65536 samples: 5 steps with 2 writers need
+    # exactly 5 x 32 bytes for the centers and, per sample, 9 x 16 bytes
+    # for a pass, 32 for the templates and 3 x 8 for the profiles of this
+    # process and the two writers.
     monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 2)
-    need = 5 * 8 + 2 * (9 * 16 * 65536 + 65536 * 8)
+    need = 5 * 32 + (9 * 16 + 32 + 3 * 8) * 65536
     monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: need - 1)
     assert run(*argv, "--steps", "5") == 2
     err = capsys.readouterr().err
-    assert (f"error: --steps 5 needs 8 bytes per center, and one pass of 9 complex128 "
-            f"fields and one profile of grid.n = 65536 float64 values in each of 2 "
-            f"processes, {need} bytes, more than the {need - 1} bytes") in err
+    assert (f"error: --steps 5 needs 32 bytes per center, and for each of grid.n = 65536 "
+            f"samples one pass of 9 complex128 fields, 32 bytes of row templates and one "
+            f"float64 profile in each of 3 processes, {need} bytes, more than the "
+            f"{need - 1} bytes") in err
     assert not (tmp_path / "nested").exists()
     monkeypatch.undo()
     monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 2)
@@ -335,7 +351,7 @@ def test_sweep_checks_every_center_before_any_pass(tmp_path, capsys, monkeypatch
     # In a 16 um window a mask's support may span 4 um.  The first center's
     # 5 um opening is clipped to 1.5 um by the window edge; the second
     # center's is whole.  Refused before --out exists and before any pass,
-    # so no forked process can meet a refusal after files exist.
+    # so no pass can meet a refusal after files exist.
     import doubleslit.cli
     import doubleslit.propagation
 
@@ -392,7 +408,7 @@ def test_grid_beyond_physical_memory_is_refused(
     for memory in (need, None):
         monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda m=memory: m)
         if command == "sweep" and memory is not None:
-            # A pass and a profile need more than a pass alone.
+            # A pass, the templates and the profiles need more than a pass.
             assert run(*argv) == 2
             err = capsys.readouterr().err
             assert "grid.n = 65536 needs" not in err
@@ -401,8 +417,8 @@ def test_grid_beyond_physical_memory_is_refused(
         with pytest.raises(AssertionError, match="propagation reached"):
             run(*argv)
         if command == "sweep":
-            # A sweep propagates in the processes that write its files, so
-            # --out exists by then, but holds no file before the first pass.
+            # A sweep propagates as it writes, so --out exists by then, but
+            # holds no file before the first pass.
             assert list(out.iterdir()) == []
             shutil.rmtree(tmp_path / "nested")
 
