@@ -8,6 +8,8 @@ partial).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
+from typing import Iterator
 
 import numpy as np
 
@@ -52,53 +54,38 @@ class SweepEntry:
     label: str
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Profiles over strictly increasing mask centers, on one shared grid."""
-
-    entries: tuple[SweepEntry, ...]
-
-    @property
-    def labels(self) -> list[str]:
-        return [e.label for e in self.entries]
-
-
-def check_sweep(layout: BeamlineLayout, beam: BeamParameters, centers, grid: GridSpec) -> None:
-    """Refuse, without propagating, mask centers that a sweep would refuse
-    at any of its passes: centers that do not strictly increase, a layout
-    and grid that no pass can run (`check_beamline`), and a center whose
-    mask cannot be made or whose clipped mask is too wide (`clipped_mask`).
-    It keeps nothing per center, so checking every center before the first
-    pass costs no memory."""
-    if any(b <= a for a, b in zip(centers, centers[1:])):
-        raise DomainError("mask centers must be strictly increasing")
-    check_beamline(layout, beam, grid)
-    for c in centers:
-        clipped_mask(layout, grid, float(c))
-
-
 def run_sweep(
     layout: BeamlineLayout,
     beam: BeamParameters,
     centers,
     grid: GridSpec,
-) -> SweepResult:
-    """Simulate the beamline at every mask center, in order.
+) -> Iterator[SweepEntry]:
+    """Simulate the beamline at every mask center, in order, one center per
+    entry drawn.
 
-    Every center is checked by `check_sweep` before any propagation.  Each
-    center is one beamline pass, whose mask-independent half `field_at_mask`
-    keeps while the inputs repeat.  `doubleslit sweep` calls this once per
-    center, so that it holds no more profiles than its writers need, and
-    reads each center's slit fractions and label from the entry.
+    Refused when called, before any pass and keeping nothing per center:
+    centers that do not strictly increase, a layout and grid that no pass
+    can run (`check_beamline`), and a center whose mask cannot be made or
+    whose clipped mask is too wide (`clipped_mask`).  Each entry drawn is
+    then one beamline pass, whose mask-independent half `field_at_mask`
+    keeps while the inputs repeat; no entry is kept once drawn, and
+    `centers` is read, not copied.  Every profile lies on one detector
+    grid, that of `simulate_beamline` for this layout and grid.
     """
-    centers = [float(c) for c in centers]
-    check_sweep(layout, beam, centers, grid)
-    entries = []
+    if any(b <= a for a, b in pairwise(centers)):
+        raise DomainError("mask centers must be strictly increasing")
+    check_beamline(layout, beam, grid)
     for c in centers:
-        fractions = open_fraction(layout.doubleslit, make_mask(layout.mask_opening_width, c))
-        profile = simulate_beamline(layout, beam, c, grid)
-        entries.append(SweepEntry(c, profile, fractions, classify_fractions(*fractions)))
-    return SweepResult(entries=tuple(entries))
+        clipped_mask(layout, grid, float(c))
+    return (_sweep_entry(layout, beam, float(c), grid) for c in centers)
+
+
+def _sweep_entry(
+    layout: BeamlineLayout, beam: BeamParameters, center: float, grid: GridSpec
+) -> SweepEntry:
+    fractions = open_fraction(layout.doubleslit, make_mask(layout.mask_opening_width, center))
+    profile = simulate_beamline(layout, beam, center, grid)
+    return SweepEntry(center, profile, fractions, classify_fractions(*fractions))
 
 
 def _principal_maxima_count(values: np.ndarray) -> int:

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import blobdetect, sampler, workers
-from .analysis import check_sweep, run_sweep
+from . import blobdetect, propagation, sampler, workers
+from .analysis import run_sweep
 from .buildup import run_buildup, run_detect
 from .config import RunConfig, config_text, load_config, parse_integer, parse_length
 from .core import mean_interelectron_distance
@@ -140,13 +140,19 @@ def _config(args) -> RunConfig:
 def _beamline_config(args) -> RunConfig:
     """The config of a command that propagates, refused when one beamline
     pass, PASS_FIELDS complex128 fields of grid.n values, would not fit in
-    physical memory."""
+    physical memory, or when every pass would refuse its sampling
+    (`propagation.check_beamline`)."""
     config = _config(args)
     n = config.grid_n
     workers.refuse_beyond_memory(
         f"grid.n = {n} needs {PASS_FIELDS} fields of {n} complex128 values for one pass",
         PASS_FIELDS * 16 * n,
     )
+    try:
+        propagation.check_beamline(config.layout(), config.beam(), config.grid())
+    except GridConfigError as exc:
+        keys = "beam.energy, slits.width, slits.separation, grid.window and grid.n"
+        raise ConfigError(f"{keys}: {exc}") from exc
     return config
 
 
@@ -184,8 +190,8 @@ def _sweep_name(i: int) -> str:
 
 
 def cmd_sweep(args) -> int:
-    """Every center is checked before `--out` exists; then `_write_profiles`
-    runs the centers through `run_sweep` one at a time, here, while forked
+    """`run_sweep` checks every center before `--out` exists; then
+    `_write_profiles` draws its entries one at a time, here, while forked
     processes write their files.  The manifest follows once every file is
     written."""
     config = _beamline_config(args)
@@ -210,16 +216,15 @@ def cmd_sweep(args) -> int:
         32 * steps + (PASS_FIELDS * 16 + _TEMPLATE_BYTES + 8 * processes) * grid.n,
     )
     centers = np.linspace(lo, hi, steps)
-    layout, beam = config.layout(), config.beam()
     try:
-        check_sweep(layout, beam, centers, grid)
+        entries = run_sweep(config.layout(), config.beam(), centers, grid)
     except DomainError as exc:
         raise ConfigError(f"argument: --from, --to and --steps: {exc}") from exc
     fractions = np.empty((steps, 2))
     labels = [""] * steps
 
     def profile(i: int) -> IntensityProfile:
-        (entry,) = run_sweep(layout, beam, centers[i : i + 1], grid).entries
+        entry = next(entries)
         fractions[i] = entry.fractions
         labels[i] = entry.label
         return entry.profile
@@ -304,8 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("sweep", help="profiles over a range of mask centers")
     _add_common(p)
-    p.add_argument("--from", dest="start", required=True, help="first mask center")
-    p.add_argument("--to", dest="stop", required=True, help="last mask center")
+    # argparse takes a value such as -2.8um for an option unless '=' joins it.
+    center = "mask center; join a negative value with no space by '=', as in {}=-2.8um"
+    p.add_argument("--from", dest="start", required=True, help="first " + center.format("--from"))
+    p.add_argument("--to", dest="stop", required=True, help="last " + center.format("--to"))
     p.add_argument("--steps", required=True, help="number of centers (>= 2)")
     p.set_defaults(handler=cmd_sweep)
 

@@ -172,8 +172,8 @@ def small_sweep_setup():
 def test_sweep_labels_and_orderings(small_sweep_setup):
     layout, beam, grid = small_sweep_setup
     centers = [-2.8e-6, -2.52e-6, 0.0, 2.52e-6, 2.8e-6]
-    result = run_sweep(layout, beam, centers, grid)
-    assert result.labels == ["blocked", "slit1", "both", "slit2", "blocked"]
+    entries = list(run_sweep(layout, beam, centers, grid))
+    assert [e.label for e in entries] == ["blocked", "slit1", "both", "slit2", "blocked"]
     with pytest.raises(DomainError):
         run_sweep(layout, beam, [0.0, 0.0], grid)
 
@@ -200,10 +200,10 @@ def test_sweep_matches_fresh_beamline_loop(small_sweep_setup):
     # mask clipped away entirely (zeros on the same detector grid).
     layout, beam, grid = small_sweep_setup
     centers = np.append(np.linspace(-2.6e-6, 2.6e-6, 7), 40e-6)
-    result = run_sweep(layout, beam, centers, grid)
-    assert [e.mask_center for e in result.entries] == centers.tolist()
-    assert result.labels[-1] == "blocked"
-    for c, entry in zip(centers, result.entries):
+    entries = list(run_sweep(layout, beam, centers, grid))
+    assert [e.mask_center for e in entries] == centers.tolist()
+    assert entries[-1].label == "blocked"
+    for c, entry in zip(centers, entries):
         fresh = simulate_beamline(layout, beam, float(c), grid)
         assert (entry.profile.x0, entry.profile.dx) == (fresh.x0, fresh.dx)
         assert entry.profile.normalized == fresh.normalized

@@ -158,12 +158,9 @@ def test_sweep_rejects_degenerate_ranges(tmp_path, mini_config, capsys):
 
 def test_sweep_rejects_descending_range(tmp_path, mini_config, capsys, monkeypatch):
     # Refused before any propagation, with both options named.
-    import doubleslit.cli
+    import doubleslit.analysis
 
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("run_sweep called")
-
-    monkeypatch.setattr(doubleslit.cli, "run_sweep", no_sweep)
+    monkeypatch.setattr(doubleslit.analysis, "simulate_beamline", no_propagation)
     out = tmp_path / "down"
     assert run("sweep", "--config", mini_config, "--out", str(out),
                "--from", "2.8 um", "--to", "-2.8 um", "--steps", "5") == 2
@@ -184,10 +181,10 @@ def sweep_reference(tmp_path_factory):
     (folder / "mini.cfg").write_text(MINI_CONFIG)
     config = load_config(str(folder / "mini.cfg"), None)
     centers = np.linspace(-2.8e-6, 2.8e-6, 5)
-    result = run_sweep(config.layout(), config.beam(), centers, config.grid())
+    entries = run_sweep(config.layout(), config.beam(), centers, config.grid())
     ref = tmp_path_factory.mktemp("sweep_ref")
     lines = ["index,center_m,fraction_slit1,fraction_slit2,label,file"]
-    for i, entry in enumerate(result.entries):
+    for i, entry in enumerate(entries):
         name = f"sweep_{i:03d}.csv"
         reference_write_profile_csv(ref / name, entry.profile)
         f1, f2 = entry.fractions
@@ -214,30 +211,30 @@ def test_sweep_files_match_reference_at_any_worker_count(
 
 
 def test_sweep_streams_one_center_per_pass(tmp_path, mini_config, monkeypatch):
-    # At 2 writers this process runs every center, one per run_sweep call,
-    # in order, and holds no earlier profile or values when a pass starts.
+    # At 2 writers this process runs every pass, one per entry drawn from
+    # run_sweep, in center order, and holds no earlier profile or values
+    # when a pass starts.
     import weakref
 
-    import doubleslit.cli
+    import doubleslit.analysis
     import doubleslit.workers
 
     monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 2)
-    real_run_sweep = doubleslit.cli.run_sweep
+    real_pass = doubleslit.analysis.simulate_beamline
     parent = os.getpid()
     seen, held = [], []
 
-    def one_center(layout, beam, centers, grid):
+    def one_pass(layout, beam, center, grid):
         assert os.getpid() == parent
         assert all(ref() is None for ref in held)
-        result = real_run_sweep(layout, beam, centers, grid)
-        seen.append([float(c) for c in centers])
-        for entry in result.entries:
-            held.extend([weakref.ref(entry.profile), weakref.ref(entry.profile.values)])
-        return result
+        profile = real_pass(layout, beam, center, grid)
+        seen.append(center)
+        held.extend([weakref.ref(profile), weakref.ref(profile.values)])
+        return profile
 
-    monkeypatch.setattr(doubleslit.cli, "run_sweep", one_center)
+    monkeypatch.setattr(doubleslit.analysis, "simulate_beamline", one_pass)
     assert run("sweep", "--config", mini_config, "--out", str(tmp_path), *SWEEP_ARGS) == 0
-    assert seen == [[c] for c in np.linspace(-2.8e-6, 2.8e-6, 5).tolist()]
+    assert seen == np.linspace(-2.8e-6, 2.8e-6, 5).tolist()
     assert multiprocessing.active_children() == []
 
 
@@ -352,11 +349,9 @@ def test_sweep_checks_every_center_before_any_pass(tmp_path, capsys, monkeypatch
     # 5 um opening is clipped to 1.5 um by the window edge; the second
     # center's is whole.  Refused before --out exists and before any pass,
     # so no pass can meet a refusal after files exist.
-    import doubleslit.cli
-    import doubleslit.propagation
+    import doubleslit.analysis
 
-    monkeypatch.setattr(doubleslit.propagation, "simulate_beamline", no_propagation)
-    monkeypatch.setattr(doubleslit.cli, "run_sweep", no_propagation)
+    monkeypatch.setattr(doubleslit.analysis, "simulate_beamline", no_propagation)
     cfg = tmp_path / "narrow.cfg"
     cfg.write_text(MINI_CONFIG + "grid.window = 16 um\n")
     out = tmp_path / "nested" / "out"
@@ -379,6 +374,7 @@ def test_grid_beyond_physical_memory_is_refused(
     # Every pass holds 9 complex128 fields of grid.n values at its peak; a
     # grid.n whose pass exceeds physical memory is refused before any
     # propagation, naming grid.n.
+    import doubleslit.analysis
     import doubleslit.cli
     import doubleslit.propagation
     import doubleslit.workers
@@ -387,7 +383,7 @@ def test_grid_beyond_physical_memory_is_refused(
     for name in ("simulate_beamline", "field_at_mask"):
         monkeypatch.setattr(doubleslit.propagation, name, no_propagation)
     monkeypatch.setattr(doubleslit.cli, "simulate_beamline", no_propagation)
-    monkeypatch.setattr(doubleslit.cli, "run_sweep", no_propagation)
+    monkeypatch.setattr(doubleslit.analysis, "simulate_beamline", no_propagation)
     # One detection thread: its frame's response stacks, 2.3 MB, fit in
     # one pass, so buildup's next check does not depend on the CPU count.
     monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 1)
@@ -896,6 +892,8 @@ def test_overlong_number_flag_is_named_by_its_length(
         ("", ["pattern", "--seed", "\u0667\u0660"]),
         # The Nyquist guard of a sweep, checked before any of its passes.
         ("grid.n = 4096", ["sweep", "--from", "0", "--to", "1 um", "--steps", "3"]),
+        # The double slit's support guard: 330 nm is more than a quarter of 0.5 um.
+        ("grid.window = 0.5 um", ["buildup"]),
     ],
 )
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys, config, argv):
@@ -906,7 +904,10 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys, config, argv):
     assert not (tmp_path / "nested").exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if not config and argv[0] != "detect":
+    if config:
+        # A refusal of the config names the key it refuses.
+        assert config.split(" = ")[0] in err, err
+    elif argv[0] != "detect":
         # A refusal of the command line names the flag it refuses.
         assert any(flag in err for flag in argv[1::2]), err
 
