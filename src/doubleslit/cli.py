@@ -8,6 +8,8 @@ no artifact contains a timestamp, so identical runs are byte-identical.
 
 The CLI parses arguments, checks them and writes files; every pipeline it
 runs, and every split of work across CPUs (`workers`), is in the library.
+A profile file holds only the rows inside the window the sampling guard
+covers (`RunConfig.published_half_width`).
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O problem.
 """
@@ -26,7 +28,6 @@ from .buildup import run_buildup, run_detect
 from .config import RunConfig, config_text, load_config, parse_integer, parse_length
 from .core import mean_interelectron_distance
 from .errors import ConfigError, DomainError, GridConfigError
-from .geometry import make_mask
 from .pgm import MAXVAL, write_pgm
 from .propagation import PASS_FIELDS, IntensityProfile, forget_kept, simulate_beamline
 
@@ -36,47 +37,51 @@ _BLOCK_ROWS = 4096  # rows per x-column template, filled by one % call
 _TEMPLATE_BYTES = 32
 
 
+def _row_templates(x: np.ndarray, half_width: float) -> tuple[slice, list[str]]:
+    """The rows of the ascending x with |x| <= half_width, and their x
+    column as `%` templates of _BLOCK_ROWS rows each."""
+    kept = slice(
+        int(np.searchsorted(x, -half_width, "left")),
+        int(np.searchsorted(x, half_width, "right")),
+    )
+    x = x[kept]
+    blocks = [
+        "".join([f"{v:.17g},%.17g\n" for v in x[lo : lo + _BLOCK_ROWS].tolist()])
+        for lo in range(0, x.size, _BLOCK_ROWS)
+    ]
+    return kept, blocks
+
+
 def _write_profiles(
     out: Path,
     name: Callable[[int], str],
     count: int,
     profile: Callable[[int], IntensityProfile],
-) -> None:
-    """Write profile(i) to out/name(i) for i in range(count) as
-    `x_m,intensity` rows with 17 significant digits; every profile lies on
-    one grid.
+    half_width: float,
+) -> np.ndarray:
+    """Write the rows with |x| <= half_width of profile(i) to out/name(i),
+    for i in range(count), as `x_m,intensity` rows with 17 significant
+    digits, and return each file's kept flux, the sum of its values times
+    dx.  Every profile lies on one grid.
 
-    Formatting holds the GIL, so the files are written by forked processes
-    (`workers.run_forked`).  `profile` runs here, in order (for `sweep`, a
-    beamline pass), and each profile's values go through a pipe to the
-    process that writes them, so that this process holds one profile and
-    each writer one, whatever `count` is.  The x column of the first
-    profile is formatted once, before the fork, into row templates
-    `"<x>,%.17g\n"` of _BLOCK_ROWS rows each (the last block may hold
-    fewer), at most _TEMPLATE_BYTES bytes per row, which the writers
-    inherit; a file then takes one `%` per block of values.  A template of
-    a whole file would cost peak memory.
+    `profile` runs in order (for `sweep`, a beamline pass), holding no
+    earlier profile.  The kept x column is formatted once, from the first
+    profile (`_row_templates`), and a file then takes one `%` per block of
+    values; a template of a whole file would cost peak memory.
     """
-    xs: list[str] = []
-
-    def values(i: int) -> np.ndarray:
+    fluxes = np.empty(count)
+    for i in range(count):
         p = profile(i)
-        if not xs:
-            x = p.x
-            xs.extend(
-                "".join([f"{v:.17g},%.17g\n" for v in x[lo : lo + _BLOCK_ROWS].tolist()])
-                for lo in range(0, x.size, _BLOCK_ROWS)
-            )
-        return np.ascontiguousarray(p.values)
-
-    def write(i: int, data) -> None:
-        values = np.frombuffer(data)
+        if i == 0:
+            kept, blocks = _row_templates(p.x, half_width)
+        values = p.values[kept]
+        fluxes[i] = float(np.sum(values)) * p.dx
         with open(out / name(i), "w", newline="") as fh:
             fh.write("x_m,intensity\n")
-            for lo, block in zip(range(0, values.size, _BLOCK_ROWS), xs):
+            for lo, block in zip(range(0, values.size, _BLOCK_ROWS), blocks):
                 fh.write(block % tuple(values[lo : lo + _BLOCK_ROWS].tolist()))
-
-    workers.run_forked(count, values, write, name)
+        del p, values  # the next profile is computed with this one let go
+    return fluxes
 
 
 def _value_text(value) -> str:
@@ -163,9 +168,9 @@ def cmd_pattern(args) -> int:
     else:
         center = parse_length(args.mask_center, "--mask-center")
         try:
-            make_mask(config.mask_opening_width, center)
+            propagation.clipped_mask(config.layout(), config.grid(), center)
         except DomainError as exc:
-            raise ConfigError(f"argument: --mask-center: {exc}") from exc
+            raise ConfigError(f"argument: --mask-center and grid.window: {exc}") from exc
     if args.image:
         w, h = config.frame_width, config.frame_height
         workers.refuse_beyond_memory(
@@ -175,9 +180,14 @@ def cmd_pattern(args) -> int:
         )
     profile = simulate_beamline(config.layout(), config.beam(), center, config.grid())
     out = _out_dir(args)
-    _write_profiles(out, lambda i: "pattern.csv", 1, lambda i: profile)
+    half_width = config.published_half_width()
+    (kept_flux,) = _write_profiles(
+        out, lambda i: "pattern.csv", 1, lambda i: profile, half_width
+    ).tolist()
     extras = _derived(config)
     extras["pattern.mask_center_m"] = "none" if center is None else float(center)
+    extras["pattern.published_half_width_m"] = half_width
+    extras["pattern.kept_flux"] = kept_flux
     _write_meta(out / "pattern.meta", config, extras)
     if args.image:
         write_pgm(out / "pattern.pgm", _profile_image(profile, config))
@@ -191,9 +201,8 @@ def _sweep_name(i: int) -> str:
 
 def cmd_sweep(args) -> int:
     """`run_sweep` checks every center before `--out` exists; then
-    `_write_profiles` draws its entries one at a time, here, while forked
-    processes write their files.  The manifest follows once every file is
-    written."""
+    `_write_profiles` draws its entries one at a time and writes each
+    file.  The manifest follows once every file is written."""
     config = _beamline_config(args)
     lo = parse_length(args.start, "--from")
     hi = parse_length(args.stop, "--to")
@@ -202,24 +211,22 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--steps must be at least 2, got {steps}")
     if not lo < hi:
         raise ConfigError(f"--from ({args.start}) must be below --to ({args.stop})")
-    # A center, its two slit fractions and its label reference take 32
-    # bytes; checked here, since linspace would allocate the centers.  Per
-    # grid sample, this process holds one pass and the x-column templates,
-    # and it and each writer one profile.
+    # A center, its two slit fractions, its kept flux and its label
+    # reference take 40 bytes; checked here, since linspace would allocate
+    # the centers.  Per grid sample, the sweep holds one pass, the x-column
+    # templates and one profile.
     grid = config.grid()
-    processes = 1 + workers.fork_count(steps)
     workers.refuse_beyond_memory(
-        f"--steps {steps} needs 32 bytes per center, and for each of grid.n = "
+        f"--steps {steps} needs 40 bytes per center, and for each of grid.n = "
         f"{grid.n} samples one pass of {PASS_FIELDS} complex128 fields, "
-        f"{_TEMPLATE_BYTES} bytes of row templates and one float64 profile "
-        f"in each of {processes} processes",
-        32 * steps + (PASS_FIELDS * 16 + _TEMPLATE_BYTES + 8 * processes) * grid.n,
+        f"{_TEMPLATE_BYTES} bytes of row templates and one float64 profile",
+        40 * steps + (PASS_FIELDS * 16 + _TEMPLATE_BYTES + 8) * grid.n,
     )
     centers = np.linspace(lo, hi, steps)
     try:
         entries = run_sweep(config.layout(), config.beam(), centers, grid)
     except DomainError as exc:
-        raise ConfigError(f"argument: --from, --to and --steps: {exc}") from exc
+        raise ConfigError(f"argument: --from, --to, --steps and grid.window: {exc}") from exc
     fractions = np.empty((steps, 2))
     labels = [""] * steps
 
@@ -230,13 +237,18 @@ def cmd_sweep(args) -> int:
         return entry.profile
 
     out = _out_dir(args)
-    _write_profiles(out, _sweep_name, steps, profile)
+    half_width = config.published_half_width()
+    fluxes = _write_profiles(out, _sweep_name, steps, profile, half_width)
     with open(out / "manifest.csv", "w", newline="") as fh:
-        fh.write("index,center_m,fraction_slit1,fraction_slit2,label,file\n")
-        rows = zip(centers.tolist(), fractions.tolist(), labels)
-        for i, (c, (f1, f2), label) in enumerate(rows):
-            fh.write(f"{i},{c:.17g},{f1:.17g},{f2:.17g},{label},{_sweep_name(i)}\n")
-    _write_meta(out / "sweep.meta", config, _derived(config))
+        fh.write("index,center_m,fraction_slit1,fraction_slit2,label,file,kept_flux\n")
+        rows = zip(centers.tolist(), fractions.tolist(), labels, fluxes.tolist())
+        for i, (c, (f1, f2), label, flux) in enumerate(rows):
+            fh.write(
+                f"{i},{c:.17g},{f1:.17g},{f2:.17g},{label},{_sweep_name(i)},{flux:.17g}\n"
+            )
+    extras = _derived(config)
+    extras["sweep.published_half_width_m"] = half_width
+    _write_meta(out / "sweep.meta", config, extras)
     print(f"sweep: {steps} mask positions -> {out / 'manifest.csv'}")
     return 0
 
@@ -332,7 +344,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, GridConfigError, DomainError) as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, fields
 
 from .blobdetect import geometric_scales
 from .core import BeamParameters
-from .errors import ConfigError, DomainError, GridConfigError
+from .errors import ConfigError, DomainError
 from .geometry import BeamlineLayout, make_double_slit
-from .propagation import GridSpec
+from .propagation import DEFAULT_MAX_ANGLE, GridSpec
 
 LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "cm": 1e-2, "m": 1.0}
 ENERGY_UNITS = {"eV": 1.0, "keV": 1e3}
@@ -114,6 +114,12 @@ class RunConfig:
     def sampling_half_width(self) -> float:
         # The analyzed pattern is the central five interference orders.
         return 2.5 * self.fringe_period()
+
+    def published_half_width(self) -> float:
+        # A detector row at x carries the diffraction angle x / (M z2), and
+        # the grid guard claims angles up to DEFAULT_MAX_ANGLE; its Nyquist
+        # check keeps this inside the detector grid.
+        return self.magnification * self.detector_distance * DEFAULT_MAX_ANGLE
 
     def envelope_scale(self) -> float:
         return self._far_field_scale() / self.slit_width
@@ -253,7 +259,7 @@ def build_config(values: dict, source: str = "<config>") -> RunConfig:
     ):
         try:
             build()
-        except (DomainError, GridConfigError) as exc:
+        except DomainError as exc:
             raise ConfigError(f"{source}: {keys}: {exc}") from exc
     return config
 

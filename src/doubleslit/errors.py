@@ -13,5 +13,5 @@ class FrameFileError(OSError):
     """A frame image file is missing, truncated or malformed."""
 
 
-class GridConfigError(ValueError):
+class GridConfigError(DomainError):
     """A grid or configuration value violates a sampling/band-limit rule."""

@@ -1,9 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 import csv
-import multiprocessing
-import os
+import math
 import shutil
-import signal
 import sys
 
 import numpy as np
@@ -44,9 +42,11 @@ def test_pattern_outputs(tmp_path, mini_config):
     assert run("pattern", "--config", mini_config, "--out", str(out), "--image") == 0
     lines = (out / "pattern.csv").read_text().splitlines()
     assert lines[0] == "x_m,intensity"
-    assert len(lines) == 1 + 65536
+    # The default grid keeps 38348 of its 65536 rows, |x| <= 75 mm.
+    assert len(lines) == 1 + 38348
     meta = (out / "pattern.meta").read_text()
     assert "beam.energy = 600 eV" in meta
+    assert "pattern.published_half_width_m = 0.074999999999999997" in meta
     assert "derived.wavelength_m" in meta
     assert meta.count("assumed") >= 2
     image = read_pgm(out / "pattern.pgm")
@@ -67,7 +67,7 @@ def test_pattern_mask_changes_profile(tmp_path, mini_config):
 
 def test_pattern_with_mask_outside_window(tmp_path, mini_config):
     # A mask clipped away entirely gives zeros on the detector grid, the
-    # same x axis as an open mask, and an all-zero image.
+    # same x axis as an open mask, a kept flux of 0 and an all-zero image.
     a = tmp_path / "a"
     b = tmp_path / "b"
     assert run("pattern", "--config", mini_config, "--out", str(a)) == 0
@@ -77,6 +77,7 @@ def test_pattern_with_mask_outside_window(tmp_path, mini_config):
     gone_rows = [line.split(",") for line in (b / "pattern.csv").read_text().splitlines()]
     assert [r[0] for r in gone_rows] == [r[0] for r in open_rows]
     assert {r[1] for r in gone_rows[1:]} == {"0"}
+    assert "pattern.kept_flux = 0" in (b / "pattern.meta").read_text().splitlines()
     image = read_pgm(b / "pattern.pgm")
     assert image.shape == (32, 416)
     assert not image.any()
@@ -89,6 +90,20 @@ def reference_write_profile_csv(path, profile):
         fh.write("x_m,intensity\n")
         for i in range(profile.n):
             fh.write(f"{x[i]:.17g},{profile.values[i]:.17g}\n")
+
+
+def reference_rows_within(path, half_width):
+    """The header and the rows with |x| <= half_width of a per-row reference
+    file, checked to be one contiguous block of its rows."""
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    kept = [i for i, row in enumerate(rows) if abs(float(row.split(b",")[0])) <= half_width]
+    assert kept == list(range(kept[0], kept[-1] + 1))
+    return header + b"".join(rows[i] for i in kept)
+
+
+def kept_flux(profile, half_width):
+    """The sum of a profile's values with |x| <= half_width, times dx."""
+    return float(np.sum(profile.values[np.abs(profile.x) <= half_width]) * profile.dx)
 
 
 EXTREME_VALUES = [0.0, -0.0, 5e-324, 1e-300, 1e300, 0.1, 2.6097334316950124e-07, 1.0, 7.0]
@@ -105,7 +120,9 @@ def test_profile_writer_matches_per_row_reference(tmp_path, x0, dx):
         for vals in (EXTREME_VALUES, EXTREME_VALUES[::-1],
                      np.random.default_rng(3).random(9) ** 9)
     ]
-    _write_profiles(tmp_path, lambda i: f"shared_{i}.csv", len(profiles), profiles.__getitem__)
+    _write_profiles(
+        tmp_path, lambda i: f"shared_{i}.csv", len(profiles), profiles.__getitem__, math.inf
+    )
     for i, profile in enumerate(profiles):
         expected = tmp_path / f"ref_{i}.csv"
         reference_write_profile_csv(expected, profile)
@@ -114,6 +131,8 @@ def test_profile_writer_matches_per_row_reference(tmp_path, x0, dx):
 
 @pytest.mark.parametrize("mask_center", ["0", "none"])
 def test_pattern_csv_matches_per_row_reference(tmp_path, mini_config, mask_center):
+    # pattern.csv is the block of per-row reference rows inside the
+    # published window, and pattern.kept_flux their sum times dx.
     from doubleslit.config import load_config
     from doubleslit.propagation import simulate_beamline
 
@@ -121,10 +140,14 @@ def test_pattern_csv_matches_per_row_reference(tmp_path, mini_config, mask_cente
     assert run("pattern", "--config", mini_config, "--out", str(out),
                "--mask-center", mask_center) == 0
     config = load_config(mini_config, None)
+    half_width = config.published_half_width()
     center = None if mask_center == "none" else 0.0
     profile = simulate_beamline(config.layout(), config.beam(), center, config.grid())
     reference_write_profile_csv(tmp_path / "ref.csv", profile)
-    assert (out / "pattern.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    expected = reference_rows_within(tmp_path / "ref.csv", half_width)
+    assert (out / "pattern.csv").read_bytes() == expected
+    meta = (out / "pattern.meta").read_text().splitlines()
+    assert f"pattern.kept_flux = {kept_flux(profile, half_width):.17g}" in meta
 
 
 def test_sweep_manifest(tmp_path, mini_config):
@@ -132,7 +155,7 @@ def test_sweep_manifest(tmp_path, mini_config):
     assert run("sweep", "--config", mini_config, "--out", str(out),
                "--from", "-2.8 um", "--to", "2.8 um", "--steps", "5") == 0
     lines = (out / "manifest.csv").read_text().splitlines()
-    assert lines[0] == "index,center_m,fraction_slit1,fraction_slit2,label,file"
+    assert lines[0] == "index,center_m,fraction_slit1,fraction_slit2,label,file,kept_flux"
     rows = [line.split(",") for line in lines[1:]]
     assert [r[4] for r in rows] == ["blocked", "both", "both", "both", "blocked"]
     f1 = [float(r[2]) for r in rows]
@@ -141,7 +164,9 @@ def test_sweep_manifest(tmp_path, mini_config):
     assert f1 == pytest.approx(f2[::-1], abs=1e-12)
     for row in rows:
         assert (out / row[5]).exists()
-    assert (out / "sweep.meta").exists()
+    assert "sweep.published_half_width_m = 0.074999999999999997" in (
+        out / "sweep.meta"
+    ).read_text()
     # The kept at-mask field and Fresnel factors end with the command, so
     # the next command in this process propagates afresh.
     assert not _kept
@@ -173,59 +198,57 @@ SWEEP_ARGS = ("--from", "-2.8 um", "--to", "2.8 um", "--steps", "5")
 
 @pytest.fixture(scope="module")
 def sweep_reference(tmp_path_factory):
-    """Per-row reference files of the 5-step mini-config sweep."""
+    """Per-row reference files of the 5-step mini-config sweep, every row of
+    each profile, and its manifest with each profile's kept flux."""
     from doubleslit.analysis import run_sweep
     from doubleslit.config import load_config
 
     folder = tmp_path_factory.mktemp("config")
     (folder / "mini.cfg").write_text(MINI_CONFIG)
     config = load_config(str(folder / "mini.cfg"), None)
+    half_width = config.published_half_width()
     centers = np.linspace(-2.8e-6, 2.8e-6, 5)
     entries = run_sweep(config.layout(), config.beam(), centers, config.grid())
     ref = tmp_path_factory.mktemp("sweep_ref")
-    lines = ["index,center_m,fraction_slit1,fraction_slit2,label,file"]
+    lines = ["index,center_m,fraction_slit1,fraction_slit2,label,file,kept_flux"]
     for i, entry in enumerate(entries):
         name = f"sweep_{i:03d}.csv"
         reference_write_profile_csv(ref / name, entry.profile)
         f1, f2 = entry.fractions
-        lines.append(f"{i},{entry.mask_center:.17g},{f1:.17g},{f2:.17g},{entry.label},{name}")
+        flux = kept_flux(entry.profile, half_width)
+        lines.append(
+            f"{i},{entry.mask_center:.17g},{f1:.17g},{f2:.17g},{entry.label},{name},{flux:.17g}"
+        )
     (ref / "manifest.csv").write_text("\n".join(lines) + "\n")
-    return ref
+    return ref, half_width
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_sweep_files_match_reference_at_any_worker_count(
-    tmp_path, mini_config, monkeypatch, sweep_reference, jobs
-):
-    # More than one worker writes through forked children, even on one CPU.
-    import doubleslit.workers
-
-    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: jobs)
+def test_sweep_files_match_per_row_reference(tmp_path, mini_config, sweep_reference):
+    # Each sweep file is the block of per-row reference rows inside the
+    # published window; the manifest is the reference's, byte for byte.
+    ref, half_width = sweep_reference
     out = tmp_path / "sweep"
     assert run("sweep", "--config", mini_config, "--out", str(out), *SWEEP_ARGS) == 0
-    names = sorted(p.name for p in sweep_reference.iterdir())
+    names = sorted(p.name for p in ref.iterdir())
     assert sorted(p.name for p in out.iterdir()) == sorted(names + ["sweep.meta"])
+    assert (out / "manifest.csv").read_bytes() == (ref / "manifest.csv").read_bytes()
     for name in names:
-        assert (out / name).read_bytes() == (sweep_reference / name).read_bytes(), name
-    assert multiprocessing.active_children() == []
+        if name != "manifest.csv":
+            assert (out / name).read_bytes() == reference_rows_within(ref / name, half_width)
 
 
 def test_sweep_streams_one_center_per_pass(tmp_path, mini_config, monkeypatch):
-    # At 2 writers this process runs every pass, one per entry drawn from
-    # run_sweep, in center order, and holds no earlier profile or values
-    # when a pass starts.
+    # The sweep runs every pass, one per entry drawn from run_sweep, in
+    # center order, and holds no earlier profile or values when a pass
+    # starts.
     import weakref
 
     import doubleslit.analysis
-    import doubleslit.workers
 
-    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 2)
     real_pass = doubleslit.analysis.simulate_beamline
-    parent = os.getpid()
     seen, held = [], []
 
     def one_pass(layout, beam, center, grid):
-        assert os.getpid() == parent
         assert all(ref() is None for ref in held)
         profile = real_pass(layout, beam, center, grid)
         seen.append(center)
@@ -235,7 +258,6 @@ def test_sweep_streams_one_center_per_pass(tmp_path, mini_config, monkeypatch):
     monkeypatch.setattr(doubleslit.analysis, "simulate_beamline", one_pass)
     assert run("sweep", "--config", mini_config, "--out", str(tmp_path), *SWEEP_ARGS) == 0
     assert seen == np.linspace(-2.8e-6, 2.8e-6, 5).tolist()
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(
@@ -244,19 +266,14 @@ def test_sweep_streams_one_center_per_pass(tmp_path, mini_config, monkeypatch):
         (["sweep_004.csv"], "sweep_004.csv"),  # the last file
         (["sweep_000.csv"], "sweep_000.csv"),  # the first file
         (["sweep_000.csv", "sweep_004.csv"], "sweep_000.csv"),
-        (["sweep_001.csv", "sweep_002.csv"], "sweep_001.csv"),  # both writers fail
+        (["sweep_001.csv", "sweep_002.csv"], "sweep_001.csv"),
     ],
 )
 def test_sweep_write_error_names_the_earliest_file(
-    tmp_path, mini_config, capsys, monkeypatch, blocked, named
+    tmp_path, mini_config, capsys, blocked, named
 ):
-    # At 2 writers one writes the even files and the other the odd ones,
-    # each given its next file once it has reported the last.  This process
-    # stops at the first error reported, so no file two or more beyond the
-    # earliest failing one is written.
-    import doubleslit.workers
-
-    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 2)
+    # The files are written in order and the sweep stops at the first that
+    # fails, so every earlier file is written and no later one.
     out = tmp_path / "sweep"
     for name in blocked:
         (out / name).mkdir(parents=True)
@@ -266,44 +283,15 @@ def test_sweep_write_error_names_the_earliest_file(
     assert "Traceback" not in err
     assert [name for name in blocked if name in err] == [named]
     assert not (out / "manifest.csv").exists()
-    handed_out = [f"sweep_{j:03d}.csv" for j in range(min(5, int(named[6:9]) + 2))]
     assert sorted(p.name for p in out.glob("sweep_*.csv") if p.is_file()) == [
-        name for name in handed_out if name not in blocked
+        f"sweep_{j:03d}.csv" for j in range(int(named[6:9]))
     ]
-    assert multiprocessing.active_children() == []
-
-
-def test_sweep_writer_killed_by_a_signal_is_named(tmp_path, mini_config, capsys, monkeypatch):
-    # At 2 writers the second writes sweep_001, sweep_003.
-    import doubleslit.workers
-
-    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 2)
-    parent = os.getpid()
-    run_forked = doubleslit.workers.run_forked
-
-    def dying_run_forked(n, item, work, name):
-        def dying_work(i, data):
-            if os.getpid() != parent and name(i) == "sweep_003.csv":
-                os.kill(os.getpid(), signal.SIGKILL)
-            work(i, data)
-
-        run_forked(n, item, dying_work, name)
-
-    monkeypatch.setattr(doubleslit.workers, "run_forked", dying_run_forked)
-    out = tmp_path / "sweep"
-    assert run("sweep", "--config", mini_config, "--out", str(out), *SWEEP_ARGS) == 3
-    err = capsys.readouterr().err
-    assert "error: the writer of sweep_003.csv was killed by signal 9" in err
-    assert "Traceback" not in err
-    assert (out / "sweep_002.csv").exists() and not (out / "sweep_003.csv").exists()
-    assert not (out / "manifest.csv").exists()
-    assert multiprocessing.active_children() == []
 
 
 def test_sweep_refuses_steps_beyond_physical_memory(tmp_path, mini_config, capsys, monkeypatch):
-    # A sweep holds one pass's fields and the x-column templates, one
-    # profile in each of its processes and 32 bytes per center; refused
-    # before any allocation or propagation, naming --steps.
+    # A sweep holds one pass's fields, the x-column templates, one profile
+    # and 40 bytes per center; refused before any allocation or
+    # propagation, naming --steps.
     import doubleslit.cli
     import doubleslit.workers
 
@@ -321,27 +309,22 @@ def test_sweep_refuses_steps_beyond_physical_memory(tmp_path, mini_config, capsy
     assert "--steps 1000000000000" in err and "Traceback" not in err
     assert not (tmp_path / "nested").exists()
 
-    # The default grid has 65536 samples: 5 steps with 2 writers need
-    # exactly 5 x 32 bytes for the centers and, per sample, 9 x 16 bytes
-    # for a pass, 32 for the templates and 3 x 8 for the profiles of this
-    # process and the two writers.
-    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 2)
-    need = 5 * 32 + (9 * 16 + 32 + 3 * 8) * 65536
+    # The default grid has 65536 samples: 5 steps need exactly 5 x 40
+    # bytes for the centers and, per sample, 9 x 16 bytes for a pass, 32
+    # for the templates and 8 for the profile.
+    need = 5 * 40 + (9 * 16 + 32 + 8) * 65536
     monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: need - 1)
     assert run(*argv, "--steps", "5") == 2
     err = capsys.readouterr().err
-    assert (f"error: --steps 5 needs 32 bytes per center, and for each of grid.n = 65536 "
+    assert (f"error: --steps 5 needs 40 bytes per center, and for each of grid.n = 65536 "
             f"samples one pass of 9 complex128 fields, 32 bytes of row templates and one "
-            f"float64 profile in each of 3 processes, {need} bytes, more than the "
-            f"{need - 1} bytes") in err
+            f"float64 profile, {need} bytes, more than the {need - 1} bytes") in err
     assert not (tmp_path / "nested").exists()
     monkeypatch.undo()
-    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 2)
     for memory in (need, None):
         monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda m=memory: m)
         assert run(*argv, "--steps", "5") == 0
         assert len(list(out.glob("sweep_*.csv"))) == 5
-    assert multiprocessing.active_children() == []
 
 
 def test_sweep_checks_every_center_before_any_pass(tmp_path, capsys, monkeypatch):
@@ -358,7 +341,31 @@ def test_sweep_checks_every_center_before_any_pass(tmp_path, capsys, monkeypatch
     argv = ["sweep", "--config", str(cfg), "--out", str(out)]
     assert run(*argv, "--from", "-9 um", "--to", "0", "--steps", "3") == 2
     err = capsys.readouterr().err
-    assert "error: mask support 5.000e-06 m exceeds a quarter of the 1.600e-05 m" in err
+    assert err.startswith(
+        "error: argument: --from, --to, --steps and grid.window: mask support 5.000e-06 m "
+        "exceeds a quarter of the 1.600e-05 m grid window"
+    )
+    assert "Traceback" not in err
+    assert not (tmp_path / "nested").exists()
+
+
+def test_pattern_checks_the_clipped_mask_before_the_pass(tmp_path, capsys, monkeypatch):
+    # In a 16 um window a 5 um opening at -4.5 um is whole, wider than the
+    # quarter window a mask may span: refused naming the flag and the key,
+    # before --out exists and before the pass.
+    import doubleslit.cli
+
+    monkeypatch.setattr(doubleslit.cli, "simulate_beamline", no_propagation)
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(MINI_CONFIG + "grid.window = 16 um\n")
+    out = tmp_path / "nested" / "out"
+    argv = ["pattern", "--config", str(cfg), "--out", str(out)]
+    assert run(*argv, "--mask-center", "-4.5 um") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: argument: --mask-center and grid.window: mask support 5.000e-06 m "
+        "exceeds a quarter of the 1.600e-05 m grid window"
+    )
     assert "Traceback" not in err
     assert not (tmp_path / "nested").exists()
 
@@ -404,7 +411,7 @@ def test_grid_beyond_physical_memory_is_refused(
     for memory in (need, None):
         monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda m=memory: m)
         if command == "sweep" and memory is not None:
-            # A pass, the templates and the profiles need more than a pass.
+            # A pass, the templates and a profile need more than a pass.
             assert run(*argv) == 2
             err = capsys.readouterr().err
             assert "grid.n = 65536 needs" not in err

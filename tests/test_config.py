@@ -166,6 +166,11 @@ def test_derived_helpers():
     assert cfg.fringe_period() == pytest.approx(expect, rel=1e-12)
     assert cfg.envelope_scale() == pytest.approx(expect * 280 / 50, rel=1e-12)
     assert cfg.height_band() == pytest.approx(4e-5)
+    # Detector rows out to the guarded angle, M z2 x 1.5e-2 rad, lie inside
+    # the detector grid's half extent M lambda z2 / (2 dx).
+    assert cfg.published_half_width() == pytest.approx(0.075, rel=1e-15)
+    half_extent = 10.0 * beam.wavelength * 0.5 / (2 * cfg.grid().dx)
+    assert cfg.published_half_width() < half_extent
     assert cfg.blob_scales() == geometric_scales(2.0, 30.0, 1.3)
     tighter = from_text("blob.t_min = 3\nblob.t_max = 12\nblob.ratio = 2")
     assert tighter.blob_scales() == (3.0, 6.0, 12.0)
