@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 import csv
 import math
+import multiprocessing
 import shutil
 import sys
 
@@ -223,9 +224,17 @@ def sweep_reference(tmp_path_factory):
     return ref, half_width
 
 
-def test_sweep_files_match_per_row_reference(tmp_path, mini_config, sweep_reference):
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_sweep_files_match_reference_at_any_worker_count(
+    tmp_path, mini_config, monkeypatch, sweep_reference, jobs
+):
     # Each sweep file is the block of per-row reference rows inside the
     # published window; the manifest is the reference's, byte for byte.
+    # The files do not depend on the CPUs the process may run on, and the
+    # sweep leaves no child process behind.
+    import doubleslit.workers
+
+    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: jobs)
     ref, half_width = sweep_reference
     out = tmp_path / "sweep"
     assert run("sweep", "--config", mini_config, "--out", str(out), *SWEEP_ARGS) == 0
@@ -235,6 +244,7 @@ def test_sweep_files_match_per_row_reference(tmp_path, mini_config, sweep_refere
     for name in names:
         if name != "manifest.csv":
             assert (out / name).read_bytes() == reference_rows_within(ref / name, half_width)
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_streams_one_center_per_pass(tmp_path, mini_config, monkeypatch):
