@@ -45,18 +45,15 @@ class BuildUpRun:
 
 def restrict_profile(profile: IntensityProfile, half_width: float) -> IntensityProfile:
     """Clip to |x| <= half_width and renormalize to unit integral."""
-    keep = np.abs(profile.x) <= half_width
-    if not keep.any():
+    kept = profile.rows_within(half_width)
+    values = profile.values[kept]
+    if not values.size:
         raise DomainError("restriction window excludes the whole profile")
-    i0 = int(np.argmax(keep))
-    i1 = profile.n - int(np.argmax(keep[::-1]))
-    values = profile.values[i0:i1]
     total = float(values.sum()) * profile.dx
     if total <= 0:
         raise DomainError("restricted profile carries no intensity")
-    return IntensityProfile(
-        x0=float(profile.x[i0]), dx=profile.dx, values=values / total, normalized=True
-    )
+    x0 = profile.x0 + kept.start * profile.dx  # the first kept row's x, as profile.x has it
+    return IntensityProfile(x0=x0, dx=profile.dx, values=values / total, normalized=True)
 
 
 def refuse_stacks_beyond_memory(frames: str, w: int, h: int, scales: int) -> None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -37,14 +36,12 @@ _BLOCK_ROWS = 4096  # rows per x-column template, filled by one % call
 _TEMPLATE_BYTES = 32
 
 
-def _row_templates(x: np.ndarray, half_width: float) -> tuple[slice, list[str]]:
-    """The rows of the ascending x with |x| <= half_width, and their x
-    column as `%` templates of _BLOCK_ROWS rows each."""
-    kept = slice(
-        int(np.searchsorted(x, -half_width, "left")),
-        int(np.searchsorted(x, half_width, "right")),
-    )
-    x = x[kept]
+def _row_templates(profile: IntensityProfile, half_width: float) -> tuple[slice, list[str]]:
+    """The rows of the profile with |x| <= half_width, and their x column
+    as `%` templates of _BLOCK_ROWS rows each; formatted once, they serve
+    every profile on the same grid."""
+    kept = profile.rows_within(half_width)
+    x = profile.x[kept]
     blocks = [
         "".join([f"{v:.17g},%.17g\n" for v in x[lo : lo + _BLOCK_ROWS].tolist()])
         for lo in range(0, x.size, _BLOCK_ROWS)
@@ -52,36 +49,19 @@ def _row_templates(x: np.ndarray, half_width: float) -> tuple[slice, list[str]]:
     return kept, blocks
 
 
-def _write_profiles(
-    out: Path,
-    name: Callable[[int], str],
-    count: int,
-    profile: Callable[[int], IntensityProfile],
-    half_width: float,
-) -> np.ndarray:
-    """Write the rows with |x| <= half_width of profile(i) to out/name(i),
-    for i in range(count), as `x_m,intensity` rows with 17 significant
-    digits, and return each file's kept flux, the sum of its values times
-    dx.  Every profile lies on one grid.
-
-    `profile` runs in order (for `sweep`, a beamline pass), holding no
-    earlier profile.  The kept x column is formatted once, from the first
-    profile (`_row_templates`), and a file then takes one `%` per block of
-    values; a template of a whole file would cost peak memory.
-    """
-    fluxes = np.empty(count)
-    for i in range(count):
-        p = profile(i)
-        if i == 0:
-            kept, blocks = _row_templates(p.x, half_width)
-        values = p.values[kept]
-        fluxes[i] = float(np.sum(values)) * p.dx
-        with open(out / name(i), "w", newline="") as fh:
-            fh.write("x_m,intensity\n")
-            for lo, block in zip(range(0, values.size, _BLOCK_ROWS), blocks):
-                fh.write(block % tuple(values[lo : lo + _BLOCK_ROWS].tolist()))
-        del p, values  # the next profile is computed with this one let go
-    return fluxes
+def _write_profile(
+    path: Path, profile: IntensityProfile, kept: slice, blocks: list[str]
+) -> float:
+    """Write the kept rows of the profile to path as `x_m,intensity` rows
+    with 17 significant digits, one `%` per block of values (a template of
+    a whole file would cost peak memory), and return their flux, the sum
+    of the kept values times dx."""
+    values = profile.values[kept]
+    with open(path, "w", newline="") as fh:
+        fh.write("x_m,intensity\n")
+        for lo, block in zip(range(0, values.size, _BLOCK_ROWS), blocks):
+            fh.write(block % tuple(values[lo : lo + _BLOCK_ROWS].tolist()))
+    return float(np.sum(values)) * profile.dx
 
 
 def _value_text(value) -> str:
@@ -170,7 +150,8 @@ def cmd_pattern(args) -> int:
         try:
             propagation.clipped_mask(config.layout(), config.grid(), center)
         except DomainError as exc:
-            raise ConfigError(f"argument: --mask-center and grid.window: {exc}") from exc
+            keys = "--mask-center, mask.opening_width and grid.window"
+            raise ConfigError(f"argument: {keys}: {exc}") from exc
     if args.image:
         w, h = config.frame_width, config.frame_height
         workers.refuse_beyond_memory(
@@ -181,9 +162,8 @@ def cmd_pattern(args) -> int:
     profile = simulate_beamline(config.layout(), config.beam(), center, config.grid())
     out = _out_dir(args)
     half_width = config.published_half_width()
-    (kept_flux,) = _write_profiles(
-        out, lambda i: "pattern.csv", 1, lambda i: profile, half_width
-    ).tolist()
+    kept, blocks = _row_templates(profile, half_width)
+    kept_flux = _write_profile(out / "pattern.csv", profile, kept, blocks)
     extras = _derived(config)
     extras["pattern.mask_center_m"] = "none" if center is None else float(center)
     extras["pattern.published_half_width_m"] = half_width
@@ -191,7 +171,7 @@ def cmd_pattern(args) -> int:
     _write_meta(out / "pattern.meta", config, extras)
     if args.image:
         write_pgm(out / "pattern.pgm", _profile_image(profile, config))
-    print(f"pattern: {profile.n} samples -> {out / 'pattern.csv'}")
+    print(f"pattern: {kept.stop - kept.start} rows -> {out / 'pattern.csv'}")
     return 0
 
 
@@ -200,9 +180,9 @@ def _sweep_name(i: int) -> str:
 
 
 def cmd_sweep(args) -> int:
-    """`run_sweep` checks every center before `--out` exists; then
-    `_write_profiles` draws its entries one at a time and writes each
-    file.  The manifest follows once every file is written."""
+    """`run_sweep` checks every center before `--out` exists; then each
+    entry is drawn, its file written and the entry let go before the next
+    pass.  The manifest follows once every file is written."""
     config = _beamline_config(args)
     lo = parse_length(args.start, "--from")
     hi = parse_length(args.stop, "--to")
@@ -226,19 +206,23 @@ def cmd_sweep(args) -> int:
     try:
         entries = run_sweep(config.layout(), config.beam(), centers, grid)
     except DomainError as exc:
-        raise ConfigError(f"argument: --from, --to, --steps and grid.window: {exc}") from exc
+        keys = "--from, --to, --steps, mask.opening_width and grid.window"
+        raise ConfigError(f"argument: {keys}: {exc}") from exc
     fractions = np.empty((steps, 2))
     labels = [""] * steps
-
-    def profile(i: int) -> IntensityProfile:
-        entry = next(entries)
-        fractions[i] = entry.fractions
-        labels[i] = entry.label
-        return entry.profile
-
+    fluxes = np.empty(steps)
     out = _out_dir(args)
     half_width = config.published_half_width()
-    fluxes = _write_profiles(out, _sweep_name, steps, profile, half_width)
+    # next() in a range loop holds no entry while the next pass runs;
+    # enumerate(entries) would keep the last one in its reused result tuple.
+    for i in range(steps):
+        entry = next(entries)
+        if i == 0:
+            kept, blocks = _row_templates(entry.profile, half_width)
+        fractions[i] = entry.fractions
+        labels[i] = entry.label
+        fluxes[i] = _write_profile(out / _sweep_name(i), entry.profile, kept, blocks)
+        del entry
     with open(out / "manifest.csv", "w", newline="") as fh:
         fh.write("index,center_m,fraction_slit1,fraction_slit2,label,file,kept_flux\n")
         rows = zip(centers.tolist(), fractions.tolist(), labels, fluxes.tolist())

@@ -253,6 +253,7 @@ def build_config(values: dict, source: str = "<config>") -> RunConfig:
     config = RunConfig(**{_FIELDS[k].name: v for k, v in merged.items()})
     # Within the bounds above, each object can refuse only the keys named.
     for keys, build in (
+        ("beam.energy", lambda: config.beam().wavelength),
         ("slits.width and slits.separation", config.layout),
         ("grid.n", config.grid),
         ("blob.t_min, blob.t_max and blob.ratio", config.blob_scales),

@@ -20,12 +20,18 @@ ELEMENTARY_CHARGE = 1.602176634e-19   # C (exact)
 def de_broglie_wavelength(kinetic_energy_ev: float) -> float:
     """Nonrelativistic de Broglie wavelength, h / sqrt(2 m E), in meters.
 
-    `kinetic_energy_ev` is the electron kinetic energy in eV.
+    `kinetic_energy_ev` is the electron kinetic energy in eV.  An energy
+    whose 2 m E underflows to 0 has no finite wavelength and is refused.
     """
     if not kinetic_energy_ev > 0:
         raise DomainError(f"kinetic energy must be positive, got {kinetic_energy_ev} eV")
     energy_j = kinetic_energy_ev * ELEMENTARY_CHARGE
-    return PLANCK_CONSTANT / math.sqrt(2.0 * ELECTRON_MASS * energy_j)
+    momentum_squared = 2.0 * ELECTRON_MASS * energy_j
+    if not momentum_squared > 0:
+        raise DomainError(
+            f"kinetic energy {kinetic_energy_ev} eV is too small for a finite wavelength"
+        )
+    return PLANCK_CONSTANT / math.sqrt(momentum_squared)
 
 
 def electron_speed(kinetic_energy_ev: float) -> float:

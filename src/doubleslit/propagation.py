@@ -120,6 +120,14 @@ class IntensityProfile:
     def total(self) -> float:
         return float(np.sum(self.values) * self.dx)
 
+    def rows_within(self, half_width: float) -> slice:
+        """The rows with |x| <= half_width: x ascends, so they are one block."""
+        x = self.x
+        return slice(
+            int(np.searchsorted(x, -half_width, "left")),
+            int(np.searchsorted(x, half_width, "right")),
+        )
+
 
 @dataclass(frozen=True)
 class GridSpec:

@@ -8,6 +8,7 @@ import pytest
 from doubleslit import pgm, workers
 from doubleslit.blobdetect import accumulate_buildup, detect_blobs, geometric_scales
 from doubleslit.buildup import restrict_profile, run_buildup, run_detect
+from doubleslit.cli import _row_templates, _write_profile
 from doubleslit.config import load_config
 from doubleslit.errors import FrameFileError
 from doubleslit.pgm import read_pgm, write_pgm
@@ -143,9 +144,19 @@ def test_later_range_stops_after_earlier_range_raises(mini, frame_files, monkeyp
     assert len(reads) - 1 < second // 4
 
 
-def test_restrict_profile_renormalizes(mini):
+def test_restrict_profile_renormalizes(mini, tmp_path):
+    # The last two half-widths are the |x| of the first and the last row
+    # the first keeps: restrict_profile and the profile CSV both keep that
+    # row, since they clip by one rule, |x| <= half-width.
     full = simulate_beamline(mini.layout(), mini.beam(), 0.0, mini.grid())
     half = 2.5 * mini.fringe_period()
-    source = restrict_profile(full, half)
-    assert np.all(np.abs(source.x) <= half)
-    assert float(source.values.sum()) * source.dx == pytest.approx(1.0)
+    edges = np.abs(full.x[np.abs(full.x) <= half][[0, -1]]).tolist()
+    for half_width in (half, *edges):
+        keep = np.abs(full.x) <= half_width
+        source = restrict_profile(full, half_width)
+        assert (source.n, source.x0) == (np.count_nonzero(keep), full.x[keep][0])
+        assert float(source.values.sum()) * source.dx == pytest.approx(1.0)
+        kept, blocks = _row_templates(full, half_width)
+        _write_profile(tmp_path / "profile.csv", full, kept, blocks)
+        rows = (tmp_path / "profile.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == full.x[keep].tolist()

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from doubleslit.cli import _write_profiles, main
+from doubleslit.cli import _row_templates, _write_profile, main
 from doubleslit.pgm import read_pgm, write_pgm
 from doubleslit.propagation import IntensityProfile, _kept
 
@@ -38,13 +38,15 @@ def run(*argv):
     return main(list(argv))
 
 
-def test_pattern_outputs(tmp_path, mini_config):
+def test_pattern_outputs(tmp_path, mini_config, capsys):
     out = tmp_path / "out"
     assert run("pattern", "--config", mini_config, "--out", str(out), "--image") == 0
     lines = (out / "pattern.csv").read_text().splitlines()
     assert lines[0] == "x_m,intensity"
-    # The default grid keeps 38348 of its 65536 rows, |x| <= 75 mm.
+    # The default grid keeps 38348 of its 65536 rows, |x| <= 75 mm, and
+    # stdout counts the rows written.
     assert len(lines) == 1 + 38348
+    assert capsys.readouterr().out == f"pattern: 38348 rows -> {out / 'pattern.csv'}\n"
     meta = (out / "pattern.meta").read_text()
     assert "beam.energy = 600 eV" in meta
     assert "pattern.published_half_width_m = 0.074999999999999997" in meta
@@ -121,10 +123,9 @@ def test_profile_writer_matches_per_row_reference(tmp_path, x0, dx):
         for vals in (EXTREME_VALUES, EXTREME_VALUES[::-1],
                      np.random.default_rng(3).random(9) ** 9)
     ]
-    _write_profiles(
-        tmp_path, lambda i: f"shared_{i}.csv", len(profiles), profiles.__getitem__, math.inf
-    )
+    kept, blocks = _row_templates(profiles[0], math.inf)
     for i, profile in enumerate(profiles):
+        _write_profile(tmp_path / f"shared_{i}.csv", profile, kept, blocks)
         expected = tmp_path / f"ref_{i}.csv"
         reference_write_profile_csv(expected, profile)
         assert (tmp_path / f"shared_{i}.csv").read_bytes() == expected.read_bytes()
@@ -352,8 +353,8 @@ def test_sweep_checks_every_center_before_any_pass(tmp_path, capsys, monkeypatch
     assert run(*argv, "--from", "-9 um", "--to", "0", "--steps", "3") == 2
     err = capsys.readouterr().err
     assert err.startswith(
-        "error: argument: --from, --to, --steps and grid.window: mask support 5.000e-06 m "
-        "exceeds a quarter of the 1.600e-05 m grid window"
+        "error: argument: --from, --to, --steps, mask.opening_width and grid.window: "
+        "mask support 5.000e-06 m exceeds a quarter of the 1.600e-05 m grid window"
     )
     assert "Traceback" not in err
     assert not (tmp_path / "nested").exists()
@@ -373,8 +374,8 @@ def test_pattern_checks_the_clipped_mask_before_the_pass(tmp_path, capsys, monke
     assert run(*argv, "--mask-center", "-4.5 um") == 2
     err = capsys.readouterr().err
     assert err.startswith(
-        "error: argument: --mask-center and grid.window: mask support 5.000e-06 m "
-        "exceeds a quarter of the 1.600e-05 m grid window"
+        "error: argument: --mask-center, mask.opening_width and grid.window: "
+        "mask support 5.000e-06 m exceeds a quarter of the 1.600e-05 m grid window"
     )
     assert "Traceback" not in err
     assert not (tmp_path / "nested").exists()
@@ -927,6 +928,65 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys, config, argv):
     elif argv[0] != "detect":
         # A refusal of the command line names the flag it refuses.
         assert any(flag in err for flag in argv[1::2]), err
+
+
+# Values at and beyond every bound a config key has: zeros and signs,
+# subnormals, overflow of products, the threshold word and integer lists.
+EDGE_VALUES = ["0", "-0", "-1", "5e-324", "1e-300", "1e-30", "0.5", "1", "2,1", "1,2",
+               "1e15", "1e300", "1e308", "1.7976931348623157e308", "auto", "nan"]
+EDGE_COMMANDS = [["pattern"], ["sweep", "--from=-2.8um", "--to", "2.8um", "--steps", "3"],
+                 ["buildup"]]
+
+
+class PassReached(Exception):
+    """Raised in place of a beamline pass: the run passed every refusal."""
+
+
+def test_every_key_at_its_bounds_reaches_the_pass_or_is_refused_by_key(
+    tmp_path, capsys, monkeypatch
+):
+    # For every key and edge value, pattern, sweep and buildup either reach
+    # the beamline pass or exit 2 naming the key, before --out exists; any
+    # other exception fails the test as a traceback would.
+    # Physical memory and the thread count are fixed so that the memory
+    # refusals do not depend on the machine.
+    from dataclasses import fields
+
+    import doubleslit.analysis
+    import doubleslit.cli
+    import doubleslit.propagation
+    import doubleslit.workers
+    from doubleslit.config import RunConfig
+
+    def no_pass(*args, **kwargs):
+        raise PassReached
+
+    for module in (doubleslit.propagation, doubleslit.cli, doubleslit.analysis):
+        monkeypatch.setattr(module, "simulate_beamline", no_pass)
+    monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: 2**33)
+    monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 1)
+    cfg = tmp_path / "edge.cfg"
+    out = tmp_path / "nested" / "out"
+    reached = {argv[0]: 0 for argv in EDGE_COMMANDS}
+    for key in [f.metadata["key"] for f in fields(RunConfig)]:
+        for value in EDGE_VALUES:
+            seed = "" if key == "run.seed" else "run.seed = 1\n"
+            cfg.write_text(f"{seed}{key} = {value}\n")
+            for argv in EDGE_COMMANDS:
+                case = f"{key} = {value}: {argv[0]}"
+                try:
+                    code = run(*argv, "--config", str(cfg), "--out", str(out))
+                except PassReached:
+                    reached[argv[0]] += 1
+                    # A sweep makes --out before its first pass.
+                    shutil.rmtree(tmp_path / "nested", ignore_errors=True)
+                    continue
+                err = capsys.readouterr().err
+                assert code == 2 and key in err, (case, err)
+                assert not (tmp_path / "nested").exists(), case
+    # Not a property met by refusing everything: each command reaches its
+    # pass in over a quarter of the cases (about 120 of 400).
+    assert min(reached.values()) > len(EDGE_VALUES) * len(fields(RunConfig)) // 4, reached
 
 
 def test_output_directory_comes_from_out_alone(tmp_path, capsys, monkeypatch):

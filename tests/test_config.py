@@ -136,6 +136,17 @@ def test_cross_field_validation():
         from_text("run.seed = -4", seed=False)
 
 
+def test_energy_without_a_finite_wavelength_is_refused():
+    # 2 m E underflows to 0 below about 1e-275 eV, where h / sqrt(2 m E)
+    # would divide by zero; the beam's wavelength is built with the config.
+    for text in ("1e-300", "5e-324"):
+        with pytest.raises(
+            ConfigError, match=rf"^<config>: beam.energy: kinetic energy {text} eV is too small"
+        ):
+            from_text(f"beam.energy = {text}")
+    assert from_text("beam.energy = 1e-270").beam().wavelength > 0
+
+
 def test_threshold_auto_or_number():
     assert from_text("blob.threshold = auto").blob_threshold is None
     assert from_text("blob.threshold = 250").blob_threshold == 250.0
