@@ -113,20 +113,12 @@ def _refine(values: np.ndarray, idx: int) -> tuple[float, float]:
     return d, float(v1 - 0.25 * (v0 - v2) * d)
 
 
-def _median_in_place(flat: np.ndarray) -> float:
-    """np.median of a finite 1D array, partitioning the array in place."""
-    n = flat.size
-    lo, hi = (n - 1) // 2, n // 2
-    flat.partition([lo, hi])
-    return flat[lo : hi + 1].mean()
-
-
 def _mad(stack: np.ndarray) -> float:
     """Median absolute deviation from the median, from one flattened copy."""
     flat = stack.ravel().copy()
-    center = _median_in_place(flat)
+    center = np.median(flat, overwrite_input=True)
     np.abs(np.subtract(flat, center, out=flat), out=flat)
-    return _median_in_place(flat)
+    return np.median(flat, overwrite_input=True)
 
 
 def _finite_peak(stack: np.ndarray) -> float:

@@ -107,17 +107,11 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
     )
 
     def detect_frame(i: int) -> list[BlobDescriptor]:
-        # One frame per event: frame i spans [t_i, t_{i+1}); the last frame
-        # gets one mean inter-arrival period.  Events are time-ordered, so
-        # the slice events[i:i+1] is exactly the in-window subset.
-        event = events[i]
-        if i + 1 < len(events):
-            window = (event.t, events[i + 1].t)
-        else:
-            window = (event.t, event.t + 1.0 / config.pattern_rate)
+        # Frame i holds event i alone, exposed for one mean inter-arrival
+        # period from its arrival, so events that arrive together get one each.
         frame = sampler.render_frame(
             events[i : i + 1],
-            window,
+            (events[i].t, events[i].t + 1.0 / config.pattern_rate),
             config.psf_sigma,
             config.background,
             config.seed,

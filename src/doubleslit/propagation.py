@@ -209,9 +209,11 @@ def angular_spectrum_step(field: WaveField, z: float) -> WaveField:
         return replace(field, amplitudes=field.amplitudes.copy())
     n = field.n
     f = np.fft.fftfreq(n, field.dx)
-    transfer = np.exp(-1j * np.pi * lam * z * f * f)
-    f_limit = min(1.0 / lam, n * field.dx / (2 * lam * z))
-    transfer[np.abs(f) > f_limit] = 0.0
+    # z divides last and the phase is taken only where kept: no z under- or overflows.
+    kept = np.abs(f) <= min(1.0 / lam, n * field.dx / (2 * lam) / z)
+    f = f[kept]
+    transfer = np.zeros(n, dtype=np.complex128)
+    transfer[kept] = np.exp(-1j * np.pi * lam * z * f * f)
     out = np.fft.ifft(np.fft.fft(field.amplitudes) * transfer)
     return replace(field, amplitudes=out)
 
@@ -349,9 +351,18 @@ def _check_support(aperture: ApertureSpec, window: float, name: str) -> None:
 def check_beamline(layout: BeamlineLayout, beam: BeamParameters, grid: GridSpec) -> None:
     """Refuse, without propagating, a slit layout, beam and grid that every
     beamline pass would refuse: a double slit wider than a quarter of the
-    window, or a grid too coarse for DEFAULT_MAX_ANGLE."""
+    window, a grid too coarse for DEFAULT_MAX_ANGLE, or a window so narrow
+    that no detector row lies within DEFAULT_MAX_ANGLE."""
     _check_support(layout.doubleslit, grid.window, "double-slit")
     _check_nyquist(beam.wavelength, grid.dx)
+    # n is even: the rows nearest the axis lie half a pitch, M lambda z2 / window, off it.
+    nearest = beam.wavelength / (2 * grid.window)
+    if nearest > DEFAULT_MAX_ANGLE:
+        raise GridConfigError(
+            f"no detector row is published: the rows nearest the axis lie at "
+            f"{nearest:.3e} rad, beyond the maximum diffraction angle "
+            f"{DEFAULT_MAX_ANGLE:.3e} rad; widen the window"
+        )
 
 
 def clipped_mask(layout: BeamlineLayout, grid: GridSpec, mask_center: float) -> ApertureSpec:

@@ -1,7 +1,7 @@
 """Every split of work across CPUs, one worker per CPU.
 
-Work that releases the GIL (blob detection) runs on threads, over
-contiguous ranges of range(n) of which the calling thread takes the first.
+Work that releases the GIL (blob detection) runs on a thread pool, one
+thread per contiguous range of range(n), while the calling thread waits.
 Every worker is joined before the runner returns or raises, and the error
 of the earliest failing item wins.  Memory that a run would need is
 checked here too, before it is allocated.
@@ -52,11 +52,12 @@ def split(n: int, jobs: int) -> list[range]:
 def map_threads(n: int, item: Callable[[int], object]) -> list:
     """[item(i) for i in range(n)], over contiguous ranges of range(n).
 
-    The ranges run on one thread per CPU, the calling thread taking the
-    first.  Results are joined in range order, so when several ranges
-    raise, the exception of the earliest one propagates.  Once a range has
-    raised, every later range stops at its next item, since its result is
-    discarded; earlier ranges run on, as one of them may raise first.
+    Each range runs on its own pool thread, one per CPU.  Results are
+    joined in range order, so when several ranges raise, the exception of
+    the earliest one propagates.  Once a range has raised, every later
+    range stops at its next item, since its result is discarded; earlier
+    ranges run on, as one of them may raise first.  An interrupt of the
+    waiting caller stops every range at its next item.
     """
     ranges = split(n, worker_count())
     stop = [False] * len(ranges)
@@ -69,15 +70,15 @@ def map_threads(n: int, item: Callable[[int], object]) -> list:
             try:
                 out.append(item(i))
             except BaseException:
-                for later in range(k + 1, len(ranges)):
-                    stop[later] = True
+                stop[k + 1 :] = [True] * (len(ranges) - k - 1)
                 raise
         return out
 
-    if len(ranges) > 1:
-        with ThreadPoolExecutor(len(ranges) - 1) as pool:
-            rest = [pool.submit(work, k) for k in range(1, len(ranges))]
-            parts = [work(0)] + [f.result() for f in rest]
-    else:
-        parts = [work(k) for k in range(len(ranges))]
+    # n = 0 leaves no range, but a pool needs a thread, which it never starts.
+    with ThreadPoolExecutor(max(1, len(ranges))) as pool:
+        try:
+            parts = list(pool.map(work, range(len(ranges))))
+        except BaseException:  # also an interrupt of the waiting caller
+            stop[:] = [True] * len(ranges)
+            raise
     return [result for part in parts for result in part]

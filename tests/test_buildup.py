@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from doubleslit import pgm, workers
+from doubleslit import blobdetect, pgm, sampler, workers
 from doubleslit.blobdetect import accumulate_buildup, detect_blobs, geometric_scales
 from doubleslit.buildup import restrict_profile, run_buildup, run_detect
 from doubleslit.cli import _row_templates, _write_profile
@@ -79,6 +79,35 @@ def test_run_buildup_matches_sequential_loop(mini, monkeypatch, jobs, n_events):
         assert run.snapshots[count].tobytes() == canvas.tobytes()
     assert run.metrics["n_events"] == n_events
     assert run.metrics["n_blobs"] == len(rows)
+
+
+def test_events_arriving_together_each_get_a_frame(mini, monkeypatch):
+    # Every frame is exposed for one mean inter-arrival period from its
+    # event's arrival, so a gap of exactly zero still renders and detects
+    # each event in a frame of its own.
+    config = dataclasses.replace(mini, n_events=3, checkpoints=(1, 2, 3))
+    monkeypatch.setattr(
+        sampler, "sample_arrival_times", lambda rate, n, seed: np.array([1.0, 1.0, 2.0])
+    )
+    real_render, real_detect = sampler.render_frame, blobdetect.detect_blobs
+    peaks, detected = {}, []
+
+    def render(events, window, *args, frame_index, **kwargs):
+        frame = real_render(events, window, *args, frame_index=frame_index, **kwargs)
+        peaks[frame_index] = int(frame.counts.max())
+        return frame
+
+    def detect(*args):
+        detected.append(args)
+        return real_detect(*args)
+
+    monkeypatch.setattr(sampler, "render_frame", render)
+    monkeypatch.setattr(blobdetect, "detect_blobs", detect)
+    run = run_buildup(config)
+    assert [event.t for event in run.events] == [1.0, 1.0, 2.0]
+    assert sorted(peaks) == [0, 1, 2] and len(detected) == 3
+    # Each frame holds its event's spot, of peak amplitude 1000.
+    assert min(peaks.values()) > 0.9 * config.amplitude
 
 
 def spot_frame(spots, shape=(32, 64)):

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import shutil
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -987,6 +988,37 @@ def test_every_key_at_its_bounds_reaches_the_pass_or_is_refused_by_key(
     # Not a property met by refusing everything: each command reaches its
     # pass in over a quarter of the cases (about 120 of 400).
     assert min(reached.values()) > len(EDGE_VALUES) * len(fields(RunConfig)) // 4, reached
+
+
+@pytest.mark.parametrize("distance,kept_flux", [("5e-324 m", 0.99705), ("1e308 m", 0.99995)])
+def test_extreme_mask_distance_runs_without_warning(tmp_path, distance, kept_flux):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mask.distance = {distance}\nrun.seed = 7\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("pattern", "--config", str(cfg), "--out", str(out)) == 0
+    meta = (out / "pattern.meta").read_text()
+    flux = float(meta.split("pattern.kept_flux = ")[1].splitlines()[0])
+    assert flux == pytest.approx(kept_flux, abs=1e-5)
+
+
+def test_energy_with_no_published_row_is_refused_by_name(tmp_path, capsys):
+    # Below about 4.1e-7 eV at the default 64 um window, the detector rows
+    # nearest the axis lie beyond DEFAULT_MAX_ANGLE: no row would be written.
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    cfg.write_text("beam.energy = 3e-7 eV\nrun.seed = 7\n")
+    sweep = ["sweep", "--from=-1um", "--to", "1um", "--steps", "2"]
+    for argv in (["pattern"], sweep, ["buildup"]):
+        assert run(*argv, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "beam.energy" in err and "grid.window" in err, err
+        assert "no detector row is published" in err, err
+        assert not out.exists()
+    cfg.write_text("beam.energy = 5e-7 eV\nrun.seed = 7\n")
+    assert run("pattern", "--config", str(cfg), "--out", str(out)) == 0
+    assert len((out / "pattern.csv").read_text().splitlines()) == 1 + 2
 
 
 def test_output_directory_comes_from_out_alone(tmp_path, capsys, monkeypatch):

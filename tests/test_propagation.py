@@ -5,12 +5,14 @@ can be compared sample-by-sample.  Tolerances here are far below the
 acceptance thresholds because the agreement is at machine precision on
 well-sampled fields.
 """
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from doubleslit.analysis import run_sweep
 from doubleslit.config import load_config
 from doubleslit.core import BeamParameters
 from doubleslit.errors import DomainError, GridConfigError
@@ -22,6 +24,7 @@ from doubleslit.propagation import (
     WaveField,
     angular_spectrum_step,
     apply_aperture,
+    check_beamline,
     direct_integral_reference,
     field_at_mask,
     forget_kept,
@@ -245,6 +248,21 @@ def test_angular_spectrum_band_guard_engages_at_long_throw():
     assert out.power() < f.power()
 
 
+def test_angular_spectrum_step_at_extreme_distances():
+    # 2 lambda z underflows at the least subnormal z, and the phase
+    # lambda z f^2 overflows at 1e308; neither may warn or divide by zero.
+    f = structured_field()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        near = angular_spectrum_step(f, 5e-324)
+        far = angular_spectrum_step(f, 1e308)
+    assert rel_l2(near.amplitudes, f.amplitudes) < 1e-14
+    # Only the zero frequency is within the window-aliasing bound at 1e308.
+    spectrum = np.fft.fft(far.amplitudes)
+    assert spectrum[0] == pytest.approx(np.fft.fft(f.amplitudes)[0], rel=1e-12)
+    assert np.max(np.abs(spectrum[1:])) < 1e-12 * abs(spectrum[0])
+
+
 def test_zero_distance_is_identity():
     f = structured_field()
     out = angular_spectrum_step(f, 0.0)
@@ -281,6 +299,22 @@ def test_nyquist_violation_raises():
                   amplitudes=np.ones(n, complex))
     with pytest.raises(GridConfigError):
         angular_spectrum_step(f, 230e-6)  # default band needs dx <= lam/(2 theta)
+
+
+def test_window_with_no_published_row_is_refused(experiment_setup):
+    # grid.n is even, so the detector rows nearest the axis lie at the
+    # angle lambda / (2 window); at the 64 um window that passes
+    # DEFAULT_MAX_ANGLE near 4.1e-7 eV.
+    _, layout, grid = experiment_setup
+    check_beamline(layout, BeamParameters(5e-7), grid)
+    slow = BeamParameters(3e-7)
+    for refused in (
+        lambda: check_beamline(layout, slow, grid),
+        lambda: run_sweep(layout, slow, [0.0, 1e-6], grid),
+        lambda: simulate_beamline(layout, slow, 0.0, grid),
+    ):
+        with pytest.raises(GridConfigError, match="no detector row is published"):
+            refused()
 
 
 def test_aperture_support_guard(experiment_setup):
