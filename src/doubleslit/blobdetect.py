@@ -9,13 +9,32 @@ which is what ties detected scales to spot widths.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DomainError
+
+
+def __getattr__(name: str):
+    """`ndimage` is scipy.ndimage, imported on first use and then kept as a
+    module global that a tracer may replace, so that commands which never
+    detect never import scipy."""
+    if name != "ndimage":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import ndimage
+
+    globals()["ndimage"] = ndimage
+    return ndimage
+
+
+def _ndimage():
+    """The module's `ndimage` as it is at call time: a bare global name in a
+    function would not reach the module `__getattr__`."""
+    return sys.modules[__name__].ndimage
 
 
 @dataclass(frozen=True)
@@ -28,12 +47,16 @@ class BlobDescriptor:
     response: float
 
 
-# Each scale is one frame-sized float64 layer of the response stack, and the
-# exact MAD holds a flattened copy of the stack.  The auto threshold makes
-# that copy only when its counting proof fails, but the memory refusals
-# count this worst case, so a frame in flight costs LAYERS_PER_SCALE layers
-# per scale; the default ladder has 11.
-LAYERS_PER_SCALE = 2
+# What one detect_blobs call holds at its peak, in frame-sized float64
+# layers.  Per scale: the response stack, and then either the exact MAD's
+# flattened copy or the minimum filter's output with two boolean masks of up
+# to an eighth of a layer each; the auto threshold makes the copy only when
+# its counting proof fails, and the filter's box may span the whole stack,
+# but the memory refusals count these worst cases.  Besides them, while the
+# stack is built: the float64 frame and three scratch layers.  The default
+# ladder has 11 scales.
+LAYERS_PER_SCALE = 2.25
+FRAME_LAYERS = 4
 MAX_SCALES = 64
 
 
@@ -86,19 +109,72 @@ def _detection_ladder(scales) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=1)
+def _ladder_weights(scales: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """Per scale t, the weights scipy's `gaussian_filter1d` correlates with
+    at sigma = sqrt(t), by its own formula: radius int(4 sigma + 0.5), then
+    exp(-0.5 / sigma^2 * x^2) normalised by its sum, then reversed; stored
+    contiguous, so that `correlate1d` uses them without a copy, and
+    read-only.  One command detects on one ladder, so the last ladder's
+    weights are kept."""
+    weights = []
+    for t in scales:
+        sigma = np.sqrt(t)
+        radius = int(4.0 * float(sigma) + 0.5)
+        x = np.arange(-radius, radius + 1)
+        phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+        kernel = np.ascontiguousarray((phi / phi.sum())[::-1])
+        kernel.flags.writeable = False
+        weights.append(kernel)
+    return tuple(weights)
+
+
+def _neighbour_sum(s: np.ndarray, out: np.ndarray, axis: int) -> None:
+    """out = s[i - 1] + s[i + 1] along `axis` of a C-contiguous frame, with
+    scipy's mirror border: s[-1] is s[1], s[n] is s[n - 2], and a single
+    sample mirrors itself.  The interior is one add over the flattened
+    frame, so numpy needs no buffers for strided views; the sums it forms
+    across the ends of a line land on the border, which is then rewritten."""
+    step = s.strides[axis] // s.itemsize
+    flat = s.reshape(-1)
+    np.add(flat[: -2 * step], flat[2 * step :], out=out.reshape(-1)[step:-step])
+    s, out = s.swapaxes(0, axis), out.swapaxes(0, axis)
+    e = min(1, len(s) - 1)
+    np.add(s[e], s[e], out=out[0])
+    np.add(s[-1 - e], s[-1 - e], out=out[-1])
+
+
 def scale_space_response(frame, scales) -> np.ndarray:
     """Stack of t * Laplacian(Gaussian(image, sqrt(t))) over the ladder.
 
     Mirror padding at the borders.  Output shape (len(scales), H, W).
+    Bit for bit what `gaussian_filter` and `laplace` give in mirror mode:
+    the Gaussian is scipy's two `correlate1d` passes, axis 0 then axis 1,
+    with the ladder's cached weights, and the Laplacian takes
+    -2 s + (s[i - 1] + s[i + 1]) along axis 0, adds the same along axis 1,
+    and scales by t, in scipy's order.  Besides the stack, a call holds the
+    float64 frame and three frame-sized scratch layers (FRAME_LAYERS).
     """
     arr = _validate_scales(scales)
+    nd = _ndimage()
     img = np.asarray(frame, dtype=np.float64)
     stack = np.empty((arr.size,) + img.shape)
     smoothed = np.empty(img.shape)
-    for k, t in enumerate(arr):
-        ndimage.gaussian_filter(img, sigma=np.sqrt(t), output=smoothed, mode="mirror")
-        ndimage.laplace(smoothed, output=stack[k], mode="mirror")
-        stack[k] *= t
+    twice = np.empty(img.shape)
+    across = np.empty(img.shape)
+    # scipy's filters overflow to inf and form NaN without a warning, and
+    # detect_blobs refuses a non-finite stack; the Laplacian does the same.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, weights, layer in zip(arr, _ladder_weights(tuple(arr.tolist())), stack):
+            nd.correlate1d(img, weights, 0, smoothed, "mirror")
+            nd.correlate1d(smoothed, weights, 1, smoothed, "mirror")
+            np.multiply(smoothed, -2.0, out=twice)
+            _neighbour_sum(smoothed, layer, 0)
+            layer += twice
+            _neighbour_sum(smoothed, across, 1)
+            across += twice
+            layer += across
+            layer *= t
     return stack
 
 
@@ -205,7 +281,7 @@ def _thresholded_minima(stack: np.ndarray, threshold: float) -> tuple[np.ndarray
         slice(max(a - 1, 0), min(b + 2, size)) for a, b, size in zip(first, last, stack.shape)
     )
     sub = stack[halo]
-    is_min = sub == ndimage.minimum_filter(sub, size=3, mode="nearest")
+    is_min = sub == _ndimage().minimum_filter(sub, size=3, mode="nearest")
     box = tuple(slice(a, b + 1) for a, b in zip(first, last))
     inner = tuple(slice(a - h.start, b + 1 - h.start) for a, b, h in zip(first, last, halo))
     hits = (stack[box] < -threshold) & is_min[inner]

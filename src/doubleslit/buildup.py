@@ -59,13 +59,14 @@ def restrict_profile(profile: IntensityProfile, half_width: float) -> IntensityP
 def refuse_stacks_beyond_memory(frames: str, w: int, h: int, scales: int) -> None:
     """Refuse w x h frames whose response stacks would exceed physical
     memory: each detection thread holds blobdetect.LAYERS_PER_SCALE float64
-    frame layers per scale."""
+    frame layers per scale and blobdetect.FRAME_LAYERS more."""
     jobs = workers.worker_count()
-    layers = blobdetect.LAYERS_PER_SCALE
+    per_scale, fixed = blobdetect.LAYERS_PER_SCALE, blobdetect.FRAME_LAYERS
     workers.refuse_beyond_memory(
         f"{frames} with the {scales} scales of blob.t_min, blob.t_max and blob.ratio "
-        f"need {layers} x {scales} frame layers of float64 on each of {jobs} threads",
-        layers * 8 * scales * w * h * jobs,
+        f"need {per_scale} x {scales} + {fixed} frame layers of float64 on each of "
+        f"{jobs} threads",
+        math.ceil((per_scale * scales + fixed) * 8 * w * h) * jobs,
     )
 
 

@@ -319,16 +319,21 @@ def magnify(field: WaveField, magnification: float) -> WaveField:
     )
 
 
-def intensity_profile(field: WaveField, normalize: bool = True) -> IntensityProfile:
+def intensity_profile(
+    field: WaveField, normalize: bool = True, incident: float = 0.0
+) -> IntensityProfile:
     """Squared modulus of the field, optionally normalized to unit integral.
 
-    A field with zero total flux cannot be normalized; it is returned
-    as-is with the normalized flag down.
+    `incident` is the flux that entered the computation the field came
+    from.  A total at or below eps * incident, within a factor of 2 one unit
+    in the last place of that flux, is lost in its rounding: the field is
+    then noise, like a field with zero total flux, and is returned as-is
+    with the normalized flag down.
     """
     values = np.abs(field.amplitudes) ** 2
     if normalize:
         total = float(np.sum(values) * field.dx)
-        if total > 0:
+        if total > np.finfo(np.float64).eps * incident:
             return IntensityProfile(
                 x0=field.x0, dx=field.dx, values=values / total, normalized=True
             )
@@ -400,6 +405,21 @@ def field_at_mask(
     return field
 
 
+def _detector_pass(
+    layout: BeamlineLayout,
+    beam: BeamParameters,
+    mask_center: float | None,
+    grid: GridSpec,
+) -> tuple[WaveField, float]:
+    """The field at the detector plane and the flux that reached the mask."""
+    field = field_at_mask(layout, beam, grid)
+    incident = field.power()
+    if mask_center is not None:
+        field = apply_aperture(field, clipped_mask(layout, grid, mask_center))
+    field = fresnel_transform_step(field, layout.z_mask_to_detector)
+    return magnify(field, layout.magnification), incident
+
+
 def simulate_detector_field(
     layout: BeamlineLayout,
     beam: BeamParameters,
@@ -415,11 +435,7 @@ def simulate_detector_field(
     mask_center=None removes the mask, the reference for quantifying how
     little a centered mask disturbs the pattern.
     """
-    field = field_at_mask(layout, beam, grid)
-    if mask_center is not None:
-        field = apply_aperture(field, clipped_mask(layout, grid, mask_center))
-    field = fresnel_transform_step(field, layout.z_mask_to_detector)
-    return magnify(field, layout.magnification)
+    return _detector_pass(layout, beam, mask_center, grid)[0]
 
 
 def simulate_beamline(
@@ -434,7 +450,9 @@ def simulate_beamline(
     With normalize=True the profile integrates to 1 (detection density);
     with normalize=False it keeps the flux implied by unit incident
     amplitude, which is the right gauge for comparing flux across mask
-    positions or slit subsets.
+    positions or slit subsets.  A profile whose flux is at or below
+    eps times the flux that reached the mask is rounding noise and is not
+    normalized (see intensity_profile).
     """
-    field = simulate_detector_field(layout, beam, mask_center, grid)
-    return intensity_profile(field, normalize=normalize)
+    field, incident = _detector_pass(layout, beam, mask_center, grid)
+    return intensity_profile(field, normalize=normalize, incident=incident)

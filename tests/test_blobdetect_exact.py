@@ -2,6 +2,7 @@
 the cropped minimum filter, the in-place MAD, the counting proof of the
 auto threshold and the in-place response stack."""
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from doubleslit import blobdetect
+from doubleslit import blobdetect, workers
 from doubleslit.blobdetect import (
     _auto_threshold,
     _finite_peak,
@@ -20,9 +21,9 @@ from doubleslit.blobdetect import (
     geometric_scales,
     scale_space_response,
 )
-from doubleslit.buildup import run_buildup
+from doubleslit.buildup import refuse_stacks_beyond_memory, run_buildup
 from doubleslit.config import load_config
-from doubleslit.errors import DomainError
+from doubleslit.errors import ConfigError, DomainError
 
 LADDER = geometric_scales(2.0, 30.0, 1.3)
 SHAPE = (40, 96)
@@ -251,18 +252,34 @@ def test_detect_matches_full_stack_reference(name, threshold):
     assert detect_blobs(frame, LADDER, threshold) == reference_detect(frame, threshold)
 
 
-@pytest.mark.parametrize("name", ["noisy", "corners", "zero"])
+def stack_cases():
+    """(frame, ladder) by name: border frames, frames with axes of length 1
+    to 7, and a ladder whose top kernel is wider than its 32-row frame."""
+    frames = border_frames()
+    cases = {name: (frames[name], LADDER) for name in ("noisy", "corners", "zero")}
+    rng = np.random.default_rng(29)
+    for shape in ((1, 1), (1, 7), (7, 1), (2, 2), (3, 5)):
+        cases["x".join(map(str, shape))] = (rng.normal(100.0, 30.0, shape), LADDER)
+    wide = geometric_scales(7.5, 60.0, 2.0)
+    # At t = 60 scipy's radius is int(4 sqrt(60) + 0.5) = 31: 63 taps.
+    assert wide[-1] == 60.0 and 2 * int(4.0 * np.sqrt(60.0) + 0.5) + 1 > 32
+    frame = spots([(8, 20), (25, 70)], 3.0, shape=(32, 96)) + rng.poisson(3.0, (32, 96))
+    cases["t60"] = (frame, wide)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(stack_cases()))
 def test_response_stack_matches_per_scale_products(name):
-    frame = border_frames()[name]
+    frame, ladder = stack_cases()[name]
     expected = np.stack(
         [
             t * ndimage.laplace(
                 ndimage.gaussian_filter(frame, sigma=np.sqrt(t), mode="mirror"), mode="mirror"
             )
-            for t in LADDER
+            for t in ladder
         ]
     )
-    assert scale_space_response(frame, LADDER).tobytes() == expected.tobytes()
+    assert scale_space_response(frame, ladder).tobytes() == expected.tobytes()
 
 
 def spy(monkeypatch, name):
@@ -298,3 +315,43 @@ def test_noisy_frame_takes_the_exact_mad(monkeypatch):
     assert len(mads) == 1
     assert same_value(found, reference_threshold(stack))
     assert found > 1e-3 * np.max(np.abs(stack))
+
+
+def default_frame():
+    """Frame 0 of a default build-up, as run_buildup hands it to detect_blobs."""
+    frames = []
+    real = blobdetect.detect_blobs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            blobdetect,
+            "detect_blobs",
+            lambda frame, scales, threshold: frames.append(frame) or real(frame, scales, threshold),
+        )
+        run_buildup(dataclasses.replace(load_config(CONFIG_PATH), n_events=1, checkpoints=()))
+    return frames[0]
+
+
+@pytest.mark.parametrize("name,threshold", [("default", None), ("noisy", None), ("noisy", 0.0)])
+def test_detection_peak_stays_within_the_memory_refusal(monkeypatch, name, threshold):
+    # The refusal counts, per thread, what one detect_blobs call holds at its
+    # peak: the stack with its scratch layers and a float64 copy of the frame
+    # (the default frame is uint16), the exact MAD's copy (the noisy frame
+    # takes it), or the minimum filter over the whole stack (threshold 0).
+    frame = default_frame() if name == "default" else border_frames()["noisy"]
+    assert geometric_scales(2.0, 30.0, 1.3) == LADDER  # the default ladder
+    mads = spy(monkeypatch, "_mad")
+    detect_blobs(frame, LADDER, threshold)  # imports scipy and caches the weights
+    tracemalloc.start()
+    try:
+        detect_blobs(frame, LADDER, threshold)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mads) == (2 if name == "noisy" and threshold is None else 0)
+    h, w = frame.shape
+    assert peak > len(LADDER) * 8 * w * h
+    # One thread: a memory one byte below the peak is refused.
+    monkeypatch.setattr(workers, "worker_count", lambda: 1)
+    monkeypatch.setattr(workers, "physical_memory", lambda: peak - 1)
+    with pytest.raises(ConfigError):
+        refuse_stacks_beyond_memory("frames", w, h, len(LADDER))

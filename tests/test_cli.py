@@ -2,9 +2,12 @@
 import csv
 import math
 import multiprocessing
+import os
 import shutil
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,9 +457,10 @@ def test_grid_beyond_physical_memory_is_refused(
 def test_buildup_refuses_frames_beyond_physical_memory(
     tmp_path, mini_config, capsys, monkeypatch
 ):
-    # Each detection thread holds 2 float64 layers per scale of one frame:
-    # with 6 threads, the default 416 x 32 frame and its 11 scales need
-    # 2 x 8 x 11 x 416 x 32 x 6 bytes, refused before any propagation.
+    # Each detection thread holds 2.25 float64 layers per scale of one frame
+    # and 4 more: with 6 threads, the default 416 x 32 frame and its 11
+    # scales need (2.25 x 11 + 4) x 8 x 416 x 32 x 6 bytes, refused before
+    # any propagation.
     # That is more than one pass of the default grid, which is checked first.
     import doubleslit.propagation
     import doubleslit.workers
@@ -465,13 +469,13 @@ def test_buildup_refuses_frames_beyond_physical_memory(
     monkeypatch.setattr(doubleslit.workers, "worker_count", lambda: 6)
     out = tmp_path / "nested" / "out"
     argv = ["buildup", "--config", mini_config, "--out", str(out)]
-    need = 2 * 8 * 11 * 416 * 32 * 6
+    need = (18 * 11 + 32) * 416 * 32 * 6
     monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: need - 1)
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert (f"error: frame.width = 416 and frame.height = 32 with the 11 scales of "
-            f"blob.t_min, blob.t_max and blob.ratio need 2 x 11 frame layers of float64 "
-            f"on each of 6 threads, {need} bytes, more than the {need - 1} bytes") in err
+            f"blob.t_min, blob.t_max and blob.ratio need 2.25 x 11 + 4 frame layers of "
+            f"float64 on each of 6 threads, {need} bytes, more than the {need - 1} bytes") in err
     assert "Traceback" not in err
     assert not (tmp_path / "nested").exists()
     for memory in (need, None):
@@ -550,6 +554,53 @@ def test_buildup_outputs(tmp_path, mini_config):
     # Isolated events at this rate: detection should recover nearly all.
     assert abs(metrics["n_blobs"] - 30) <= 2
     assert "buildup.sampling_half_width_m" in (out / "buildup.meta").read_text()
+
+
+def fresh_python(*argv):
+    """Run `python *argv` in a new interpreter on this source tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_cli_import_and_config_load_leave_scipy_unimported(mini_config):
+    done = fresh_python(
+        "-c",
+        "import sys; from doubleslit import cli, config; "
+        "config.load_config(sys.argv[1], 7); print(sorted(m for m in sys.modules if "
+        "m.split('.')[0] == 'scipy'))",
+        mini_config,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["pattern", "--image"], ["sweep", "--from", "-2.8 um", "--to", "2.8 um", "--steps", "3"]],
+    ids=["pattern", "sweep"],
+)
+def test_pattern_and_sweep_run_where_scipy_cannot_be_imported(tmp_path, mini_config, argv):
+    # A None entry in sys.modules makes `import scipy` raise ImportError.
+    out = tmp_path / "out"
+    done = fresh_python(
+        "-c",
+        "import sys; sys.modules['scipy'] = None; from doubleslit.cli import main; "
+        "sys.exit(main(sys.argv[1:]))",
+        *argv, "--config", mini_config, "--out", str(out),
+    )
+    assert done.returncode == 0, done.stderr
+    assert (out / ("pattern.pgm" if argv[0] == "pattern" else "manifest.csv")).is_file()
+
+
+def test_buildup_imports_scipy_when_it_first_detects(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sampler.n_events = 5\nbuildup.checkpoints = 5\nrun.seed = 7\n")
+    out = tmp_path / "out"
+    done = fresh_python("-m", "doubleslit", "buildup", "--config", str(cfg), "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert read_metrics(out / "metrics.txt")["n_blobs"] == 5
 
 
 def test_buildup_checkpoint_override(tmp_path):
@@ -722,8 +773,8 @@ def test_detect_reports_first_bad_frame_in_input_order(tmp_path, mini_config, ca
 
 def test_detect_refuses_frames_beyond_physical_memory(tmp_path, mini_config, capsys, monkeypatch):
     # detect reads each frame's size from its file: with 3 threads, a 40 x 24
-    # frame and the default 11 scales need 2 x 8 x 11 x 40 x 24 x 3 bytes,
-    # refused after the read and before any response stack is built.
+    # frame and the default 11 scales need (2.25 x 11 + 4) x 8 x 40 x 24 x 3
+    # bytes, refused after the read and before any response stack is built.
     import doubleslit.buildup
     import doubleslit.workers
 
@@ -736,12 +787,12 @@ def test_detect_refuses_frames_beyond_physical_memory(tmp_path, mini_config, cap
     write_pgm(frame, np.zeros((24, 40), dtype=np.uint16))
     out = tmp_path / "nested" / "out"
     argv = ["detect", "--config", mini_config, "--out", str(out), str(frame)]
-    need = 2 * 8 * 11 * 40 * 24 * 3
+    need = (18 * 11 + 32) * 40 * 24 * 3
     monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: need - 1)
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert (f"error: {frame}: 40x24 frames with the 11 scales of blob.t_min, blob.t_max "
-            f"and blob.ratio need 2 x 11 frame layers of float64 on each of 3 threads, "
+            f"and blob.ratio need 2.25 x 11 + 4 frame layers of float64 on each of 3 threads, "
             f"{need} bytes, more than the {need - 1} bytes of physical memory") in err
     assert "Traceback" not in err
     assert not (tmp_path / "nested").exists()
@@ -1001,6 +1052,29 @@ def test_extreme_mask_distance_runs_without_warning(tmp_path, distance, kept_flu
     meta = (out / "pattern.meta").read_text()
     flux = float(meta.split("pattern.kept_flux = ")[1].splitlines()[0])
     assert flux == pytest.approx(kept_flux, abs=1e-5)
+
+
+def test_sweep_publishes_rounding_noise_as_noise(tmp_path):
+    # At mask.distance = 5e-324 m the blocked stations pass only rounding
+    # noise.  Their profiles stay unnormalized, so kept_flux reads at most
+    # eps times the flux at the mask, not the density of a unit integral.
+    from doubleslit.config import load_config
+    from doubleslit.propagation import field_at_mask
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mask.distance = 5e-324 m\nrun.seed = 7\n")
+    out = tmp_path / "out"
+    argv = ["--from", "-2.8 um", "--to", "2.8 um", "--steps", "3"]
+    assert run("sweep", "--config", str(cfg), "--out", str(out), *argv) == 0
+    with open(out / "manifest.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["label"] for row in rows] == ["blocked", "both", "blocked"]
+    config = load_config(str(cfg))
+    at_mask = field_at_mask(config.layout(), config.beam(), config.grid()).power()
+    floor = np.finfo(np.float64).eps * at_mask
+    assert 0 < float(rows[0]["kept_flux"]) <= floor
+    assert 0 < float(rows[2]["kept_flux"]) <= floor
+    assert float(rows[1]["kept_flux"]) == pytest.approx(0.99705, abs=1e-5)
 
 
 def test_energy_with_no_published_row_is_refused_by_name(tmp_path, capsys):

@@ -343,6 +343,40 @@ def test_intensity_profile_normalization():
     assert raw.total() == pytest.approx(f.power(), rel=1e-12)
 
 
+def test_intensity_profile_keeps_rounding_noise_unnormalized():
+    # A total at or below eps times the incident flux is rounding noise.
+    f = structured_field()
+    eps = np.finfo(np.float64).eps
+    for share, normalized in ((0.5 * eps, False), (2 * eps, True)):
+        weak = replace(f, amplitudes=f.amplitudes * np.sqrt(share))
+        prof = intensity_profile(weak, incident=f.power())
+        assert prof.normalized is normalized
+        if not normalized:
+            assert prof.values.tobytes() == intensity_profile(weak, False).values.tobytes()
+    # With no incident flux named, every positive total is normalized.
+    assert intensity_profile(replace(f, amplitudes=f.amplitudes * 1e-150)).normalized
+
+
+@pytest.mark.parametrize("center", [-2.8e-6, 2.8e-6])
+def test_blocked_station_passes_rounding_noise_only_at_a_vanishing_gap(
+    experiment_setup, center
+):
+    # With the mask 5e-324 m behind the slits, a mask at +-2.8 um covers both
+    # slits' sharp field: what reaches the detector is rounding noise, below
+    # the floor and left unnormalized.  At the default gap the same station
+    # passes 0.04224 of the unmasked flux, far above it, and is normalized.
+    beam, layout, grid = experiment_setup
+    eps = np.finfo(np.float64).eps
+    near = replace(layout, z_doubleslit_to_mask=5e-324)
+    noise = simulate_beamline(near, beam, center, grid, normalize=False)
+    assert noise.total() <= eps * field_at_mask(near, beam, grid).power()
+    assert not simulate_beamline(near, beam, center, grid).normalized
+    free = simulate_beamline(layout, beam, None, grid, normalize=False)
+    raw = simulate_beamline(layout, beam, center, grid, normalize=False)
+    assert raw.total() / free.total() == pytest.approx(0.04224, abs=5e-6)
+    assert simulate_beamline(layout, beam, center, grid).normalized
+
+
 # --- beamline-level physics --------------------------------------------------
 
 def test_detector_field_superposes_over_slits(experiment_setup):
