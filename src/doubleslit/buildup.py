@@ -75,8 +75,15 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
 
     Refused before any propagation: frames whose response stacks exceed
     physical memory, an event count whose float64 draws per event do (the
-    draws are a lower bound on what the events need), and a background
-    or PSF width that the frame renderer cannot draw or square.
+    draws are a lower bound on what the events need), a background or PSF
+    width that the frame renderer cannot draw or square, and events that
+    can land where `detect_blobs` drops them.  In pixels under
+    `sampler.pixel_offsets`, an event lies at most the sampling half-width
+    plus half a detector-grid pitch M lambda z2 / `grid.window` (the edge of
+    the last cell drawn from) off the axis in x, and half the height band in
+    y.  `detect_blobs` drops a minimum whose voxel lies within 2 sqrt(t) of
+    a border, widest at the top rung it searches, scales[-2]; a spot's
+    minimum lies in the pixel nearest its centre, at most half a pixel off.
     """
     w, h, scales = config.frame_width, config.frame_height, config.blob_scales()
     refuse_stacks_beyond_memory(f"frame.width = {w} and frame.height = {h}", w, h, len(scales))
@@ -91,6 +98,22 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
     sigma = config.psf_sigma
     if not math.isfinite(sigma * sigma):
         raise ConfigError(f"buildup needs sampler.psf_sigma squared to be finite, got {sigma}")
+    margin = 2 * math.sqrt(scales[-2]) + 0.5
+    dx = config.magnification * config.beam().wavelength * config.detector_distance
+    dx /= config.grid_window  # the detector grid's pitch
+    for axis, half, size, keys in (
+        ("x", config.sampling_half_width() + dx / 2, w,
+         "beam.energy, slits.separation, mask.distance, detector.distance, "
+         "detector.magnification, grid.window, frame.width"),
+        ("y", config.height_band() / 2, h, "slits.height, detector.magnification, frame.height"),
+    ):
+        reach, room = half / config.frame_pitch, (size - 1) / 2 - margin
+        if not reach <= room:
+            raise ConfigError(
+                f"buildup draws events up to {reach:.4g} px off the frame's centre in {axis}, "
+                f"but detect_blobs keeps only spots within {room:.4g} px: {keys}, "
+                "frame.pitch, blob.t_min, blob.t_max and blob.ratio leave no room"
+            )
     draws = sampler.DRAWS_PER_EVENT
     workers.refuse_beyond_memory(
         f"sampler.n_events = {n} needs {draws} x {n} float64 draws", draws * 8 * n

@@ -5,6 +5,7 @@ images byte-compare across platforms and languages.
 """
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,11 @@ import numpy as np
 from .errors import FrameFileError
 
 MAXVAL = 65535
+
+# Magic, width, height and maxval between whitespace and '#' comments that run to the end
+# of their line; one whitespace byte after maxval ends the header.
+_SKIP = rb"(?:\s|#[^\n]*\n)*"
+_HEADER = re.compile(_SKIP + rb"([^\s#]\S*)" + (rb"\s" + _SKIP + rb"([^\s#]\S*)") * 3)
 
 
 def write_pgm(path: str | Path, counts: np.ndarray) -> None:
@@ -31,28 +37,10 @@ def read_pgm(path: str | Path) -> np.ndarray:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise FrameFileError(f"{path}: {exc}") from exc
-    # Header: magic, width, height, maxval as whitespace-separated tokens,
-    # with '#' comments allowed; a single whitespace byte ends the header.
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < 4:
-        if pos >= len(raw):
-            raise FrameFileError(f"{path}: truncated header")
-        ch = raw[pos : pos + 1]
-        if ch == b"#":
-            pos = raw.find(b"\n", pos)
-            if pos < 0:
-                raise FrameFileError(f"{path}: unterminated comment")
-            continue
-        if ch.isspace():
-            pos += 1
-            continue
-        end = pos
-        while end < len(raw) and not raw[end : end + 1].isspace():
-            end += 1
-        tokens.append(raw[pos:end])
-        pos = end
-    pos += 1
+    header = _HEADER.match(raw)
+    if header is None:
+        raise FrameFileError(f"{path}: truncated header")
+    tokens = header.groups()
     if tokens[0] != b"P5":
         raise FrameFileError(f"{path}: not a binary graymap (magic {tokens[0]!r})")
     try:
@@ -65,7 +53,7 @@ def read_pgm(path: str | Path) -> np.ndarray:
         raise FrameFileError(f"{path}: expected maxval {MAXVAL}, got {maxval}")
     if w < 1 or h < 1:
         raise FrameFileError(f"{path}: invalid dimensions {w}x{h}")
-    data = raw[pos:]
+    data = raw[header.end() + 1 :]
     size = 2 * w * h
     if len(data) < size:
         raise FrameFileError(f"{path}: truncated pixel data ({len(data)} of {size} bytes)")

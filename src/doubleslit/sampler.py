@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import pgm
 from .errors import DomainError
 from .propagation import IntensityProfile
 
@@ -149,8 +150,8 @@ def render_frame(
 
     Each in-window event deposits a Gaussian spot of peak `amplitude` and
     width `psf_sigma` (pixels) at its sub-pixel position; Poisson background
-    is added per pixel; the total saturates at 65535.  `frame_index` keys
-    the background noise stream so frames are independent but reproducible.
+    is added per pixel; the total saturates at `pgm.MAXVAL`.  `frame_index`
+    keys the noise stream, so frames are independent but reproducible.
     """
     t0, t1 = window
     if t0 >= t1:
@@ -179,7 +180,7 @@ def render_frame(
     if background_rate > 0:
         rng = _chunk_generator(seed, STREAM_BACKGROUND, frame_index)
         canvas += rng.poisson(background_rate, size=(height, width))
-    counts = np.minimum(np.rint(canvas), 65535.0).astype(np.uint16)
+    counts = np.minimum(np.rint(canvas), pgm.MAXVAL).astype(np.uint16)
     return Frame(counts=counts)
 
 

@@ -850,6 +850,70 @@ def test_buildup_refuses_frames_it_cannot_render(tmp_path, capsys, monkeypatch, 
     assert not (tmp_path / "nested").exists()
 
 
+# The keys each axis of the frame-fit refusal reads, besides the ladder's.
+X_FIT_KEYS = ("beam.energy", "slits.separation", "mask.distance", "detector.distance",
+              "detector.magnification", "grid.window", "frame.width")
+Y_FIT_KEYS = ("slits.height", "detector.magnification", "frame.height")
+
+
+@pytest.mark.parametrize(
+    "line,keys",
+    [
+        # Events reach 373, 16.7, 6.5e6, 12.5 and 205 px off the frame's
+        # centre; the border rule keeps 197.8 px in x and 5.79 px in y.
+        ("detector.magnification = 20", X_FIT_KEYS),
+        ("slits.height = 40 um", Y_FIT_KEYS),
+        ("beam.energy = 5e-7 eV", X_FIT_KEYS),
+        ("slits.height = 30 um", Y_FIT_KEYS),
+        ("detector.magnification = 11", X_FIT_KEYS),
+    ],
+)
+def test_buildup_refuses_events_that_can_land_off_the_frame(
+    tmp_path, capsys, monkeypatch, line, keys
+):
+    # An event that lands where detect_blobs drops it would be lost from a
+    # run that exits 0, so the config is refused before any propagation.
+    import doubleslit.buildup
+
+    monkeypatch.setattr(doubleslit.buildup.propagation, "simulate_beamline", no_propagation)
+    cfg = tmp_path / "off.cfg"
+    cfg.write_text(f"sampler.n_events = 200\n{line}\nrun.seed = 7\n")
+    out = tmp_path / "nested" / "out"
+    assert run("buildup", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: buildup draws events up to ")
+    for key in keys + ("frame.pitch", "blob.t_min", "blob.t_max", "blob.ratio"):
+        assert key in err, (key, err)
+    assert "Traceback" not in err
+    assert not (tmp_path / "nested").exists()
+
+
+def test_buildup_just_inside_the_frame_fit_finds_every_event(tmp_path, capsys):
+    # The y room is (32 - 1) / 2 - 2 sqrt(scales[-2]) - 0.5 = 5.79 px, so a
+    # 12 um pitch and magnification 10 admit slits.height up to 13.895 um.
+    from doubleslit.blobdetect import geometric_scales
+
+    room = (32 - 1) / 2 - 2 * math.sqrt(geometric_scales(2, 30, 1.3)[-2]) - 0.5
+    assert 13.89e-6 < 2 * room * 12e-6 / 10 < 13.90e-6
+    cfg = tmp_path / "edge.cfg"
+    out = tmp_path / "out"
+    cfg.write_text("sampler.n_events = 40\nbuildup.checkpoints = 40\nslits.height = 13.90 um\n")
+    assert run("buildup", "--config", str(cfg), "--out", str(out), "--seed", "7") == 2
+    assert "slits.height" in capsys.readouterr().err and not out.exists()
+    cfg.write_text("sampler.n_events = 40\nbuildup.checkpoints = 40\nslits.height = 13.89 um\n")
+    assert run("buildup", "--config", str(cfg), "--out", str(out), "--seed", "7") == 0
+    with open(out / "events.csv") as fh:
+        events = [(float(r["x_m"]) / 12e-6 + 207.5, float(r["y_m"]) / 12e-6 + 15.5)
+                  for r in csv.DictReader(fh)]
+    with open(out / "blobs.csv") as fh:
+        blobs = [(int(r["frame"]), float(r["x_px"]), float(r["y_px"])) for r in csv.DictReader(fh)]
+    # The draws reach near the bound, and every frame holds its event alone.
+    assert max(abs(y - 15.5) for _, y in events) > 0.9 * room
+    assert [frame for frame, _, _ in blobs] == list(range(40))
+    for (_, bx, by), (ex, ey) in zip(blobs, events):
+        assert math.hypot(bx - ex, by - ey) < 2
+
+
 @pytest.mark.parametrize("command", ["buildup", "detect"])
 def test_short_scale_ladder_is_refused_by_key(tmp_path, capsys, monkeypatch, command):
     # blob.t_min = 30 with the default blob.t_max = 30 leaves one scale; a
@@ -1036,9 +1100,13 @@ def test_every_key_at_its_bounds_reaches_the_pass_or_is_refused_by_key(
                 err = capsys.readouterr().err
                 assert code == 2 and key in err, (case, err)
                 assert not (tmp_path / "nested").exists(), case
-    # Not a property met by refusing everything: each command reaches its
-    # pass in over a quarter of the cases (about 120 of 400).
-    assert min(reached.values()) > len(EDGE_VALUES) * len(fields(RunConfig)) // 4, reached
+    # Not a property met by refusing everything: pattern and sweep reach
+    # their pass in over a quarter of the cases (about 120 of 400), and
+    # buildup, which also refuses the 28 whose events can land off its
+    # frame, in over a fifth (90).
+    cases = len(EDGE_VALUES) * len(fields(RunConfig))
+    assert min(reached["pattern"], reached["sweep"]) > cases // 4, reached
+    assert reached["buildup"] > cases // 5, reached
 
 
 @pytest.mark.parametrize("distance,kept_flux", [("5e-324 m", 0.99705), ("1e308 m", 0.99995)])

@@ -72,16 +72,49 @@ def test_write_takes_only_2d_uint16_images(tmp_path, image, got):
         b"P5\n20 1\n+65535\n",
         b"P5\n1_0 2\n65535\n",
         b"P5\n20 1\n65_535\n",
+        # A comment cannot start inside a token, so the width is '41#2'.
+        b"P5\n41#2 1\n65535\n",
         # More digits than int() converts.
         b"P5\n" + b"9" * 5000 + b" 1\n65535\n",
     ],
 )
 def test_header_numbers_are_decimal_digits_only(frame_path, header):
-    # Each header but the last one holds 20 pixels for int(), which also
+    # Each header but the last two holds 20 pixels for int(), which also
     # takes '+' and '_'; the format allows ASCII decimal digits only.
     frame_path.write_bytes(header + bytes(40))
     with pytest.raises(FrameFileError, match="malformed header"):
         read_pgm(frame_path)
+
+
+# A 2 x 1 frame whose pixels are 0x2341 ('#A') and 0x0102.
+PIXELS = b"#A\x01\x02"
+FRAME = np.array([[0x2341, 0x0102]], dtype=np.uint16)
+
+
+def test_comments_before_and_between_tokens_read_as_whitespace(frame_path):
+    # A '#' comment runs to the end of its line, '\r' included, wherever
+    # whitespace may stand.
+    frames = []
+    for header in (
+        b"P5\n2 1\n65535\n",
+        b"# before\nP5 # magic\r\n2\n#\n1 #height\n\t65535\n",
+    ):
+        frame_path.write_bytes(header + PIXELS)
+        frames.append(read_pgm(frame_path))
+    assert np.array_equal(frames[0], FRAME) and np.array_equal(frames[1], FRAME)
+
+
+def test_a_comment_that_runs_to_the_end_of_the_file_is_a_truncated_header(frame_path):
+    frame_path.write_bytes(b"P5\n2 1\n# no end of line")
+    with pytest.raises(FrameFileError, match="truncated header"):
+        read_pgm(frame_path)
+
+
+def test_one_whitespace_byte_after_maxval_ends_the_header(frame_path):
+    # The byte after it is pixel data, even a '#' or more whitespace.
+    for first in (b"#A", b"\n\n"):
+        frame_path.write_bytes(b"P5\n2 1\n65535\n" + first + PIXELS[2:])
+        assert read_pgm(frame_path)[0, 0] == int.from_bytes(first, "big")
 
 
 @PROPERTY
