@@ -288,6 +288,18 @@ def _thresholded_minima(stack: np.ndarray, threshold: float) -> tuple[np.ndarray
     return tuple(index + offset for index, offset in zip(np.nonzero(hits), first))
 
 
+def border_margin(t: float) -> float:
+    """Within this many pixels of a border, `detect_blobs` drops a minimum at scale t."""
+    return 2 * np.sqrt(t)
+
+
+def kept_offset(size: int, scales) -> float:
+    """How far off the centre of a `size`-pixel axis `detect_blobs` keeps every
+    spot: the border margin is widest at the top rung searched, scales[-2],
+    and a spot's minimum lies in its nearest pixel, at most half a pixel off."""
+    return (size - 1) / 2 - border_margin(scales[-2]) - 0.5
+
+
 def detect_blobs(frame, scales, threshold: float | None = None) -> list[BlobDescriptor]:
     """Locate bright spots as thresholded 3D minima of the response stack.
 
@@ -326,7 +338,7 @@ def detect_blobs(frame, scales, threshold: float | None = None) -> list[BlobDesc
     candidates = []
     for k, i, j in zip(*_thresholded_minima(stack, threshold)):
         t = arr[k]
-        margin = 2 * np.sqrt(t)
+        margin = border_margin(t)
         if i < margin or i > n_y - 1 - margin or j < margin or j > n_x - 1 - margin:
             continue
         dy, _ = _refine(stack[k, :, j], i)

@@ -79,11 +79,9 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
     width that the frame renderer cannot draw or square, and events that
     can land where `detect_blobs` drops them.  In pixels under
     `sampler.pixel_offsets`, an event lies at most the sampling half-width
-    plus half a detector-grid pitch M lambda z2 / `grid.window` (the edge of
-    the last cell drawn from) off the axis in x, and half the height band in
-    y.  `detect_blobs` drops a minimum whose voxel lies within 2 sqrt(t) of
-    a border, widest at the top rung it searches, scales[-2]; a spot's
-    minimum lies in the pixel nearest its centre, at most half a pixel off.
+    plus half a detector-grid pitch (the edge of the last cell drawn from)
+    off the axis in x, and half the height band in y; `blobdetect.kept_offset`
+    is the offset that `detect_blobs` is sure to keep.
     """
     w, h, scales = config.frame_width, config.frame_height, config.blob_scales()
     refuse_stacks_beyond_memory(f"frame.width = {w} and frame.height = {h}", w, h, len(scales))
@@ -98,16 +96,13 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
     sigma = config.psf_sigma
     if not math.isfinite(sigma * sigma):
         raise ConfigError(f"buildup needs sampler.psf_sigma squared to be finite, got {sigma}")
-    margin = 2 * math.sqrt(scales[-2]) + 0.5
-    dx = config.magnification * config.beam().wavelength * config.detector_distance
-    dx /= config.grid_window  # the detector grid's pitch
     for axis, half, size, keys in (
-        ("x", config.sampling_half_width() + dx / 2, w,
+        ("x", config.sampling_half_width() + config.detector_pitch() / 2, w,
          "beam.energy, slits.separation, mask.distance, detector.distance, "
          "detector.magnification, grid.window, frame.width"),
         ("y", config.height_band() / 2, h, "slits.height, detector.magnification, frame.height"),
     ):
-        reach, room = half / config.frame_pitch, (size - 1) / 2 - margin
+        reach, room = half / config.frame_pitch, blobdetect.kept_offset(size, scales)
         if not reach <= room:
             raise ConfigError(
                 f"buildup draws events up to {reach:.4g} px off the frame's centre in {axis}, "
@@ -123,11 +118,7 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
     full = propagation.simulate_beamline(config.layout(), config.beam(), 0.0, config.grid())
     source = restrict_profile(full, config.sampling_half_width())
     events = sampler.make_events(
-        source,
-        config.pattern_rate,
-        config.height_band(),
-        config.n_events,
-        config.seed,
+        source, config.pattern_rate, config.height_band(), config.n_events, config.seed
     )
 
     def detect_frame(i: int) -> list[BlobDescriptor]:
@@ -148,11 +139,7 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
         return blobdetect.detect_blobs(frame.counts, scales, config.blob_threshold)
 
     per_frame = workers.map_threads(len(events), detect_frame)
-    rows = [
-        (i, event.t, blob)
-        for i, (event, blobs) in enumerate(zip(events, per_frame))
-        for blob in blobs
-    ]
+    rows = [(i, event.t, blob) for i, event in enumerate(events) for blob in per_frame[i]]
     blobs = [blob for _, _, blob in rows]
 
     canvas, snapshots = blobdetect.accumulate_buildup(
@@ -161,13 +148,11 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
     # Recovered positions in meters, for the end-to-end consistency metric.
     xs_px = np.array([b.x for b in blobs])
     xs_m = sampler.pixel_offsets(xs_px, config.frame_width) * config.frame_pitch
-    ks_events = analysis.ks_distance([e.x for e in events], source)
-    ks_final = analysis.ks_distance(xs_m, source) if blobs else float("nan")
     metrics = {
         "n_events": len(events),
         "n_blobs": len(blobs),
-        "ks_events": ks_events,
-        "ks_final": ks_final,
+        "ks_events": analysis.ks_distance([e.x for e in events], source),
+        "ks_final": analysis.ks_distance(xs_m, source) if blobs else float("nan"),
     }
     return BuildUpRun(events, rows, canvas, snapshots, metrics)
 

@@ -124,6 +124,11 @@ class RunConfig:
     def envelope_scale(self) -> float:
         return self._far_field_scale() / self.slit_width
 
+    def detector_pitch(self) -> float:
+        # The Fresnel step's lambda z2 / window, magnified.
+        lam = self.beam().wavelength
+        return self.magnification * lam * self.detector_distance / self.grid_window
+
     def height_band(self) -> float:
         return self.slit_height * self.magnification
 

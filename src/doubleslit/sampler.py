@@ -172,10 +172,8 @@ def render_frame(
     for ev in events:
         if not t0 <= ev.t < t1:
             continue
-        px = ev.x / pitch
-        py = ev.y / pitch
-        gx = np.exp(-((cols - px) ** 2) / (2 * psf_sigma**2))
-        gy = np.exp(-((rows - py) ** 2) / (2 * psf_sigma**2))
+        gx = np.exp(-((cols - ev.x / pitch) ** 2) / (2 * psf_sigma**2))
+        gy = np.exp(-((rows - ev.y / pitch) ** 2) / (2 * psf_sigma**2))
         canvas += amplitude * gy[:, None] * gx[None, :]
     if background_rate > 0:
         rng = _chunk_generator(seed, STREAM_BACKGROUND, frame_index)
