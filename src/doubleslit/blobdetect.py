@@ -9,7 +9,6 @@ which is what ties detected scales to spot widths.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -19,22 +18,19 @@ import numpy as np
 from .errors import DomainError
 
 
-def __getattr__(name: str):
-    """`ndimage` is scipy.ndimage, imported on first use and then kept as a
-    module global that a tracer may replace, so that commands which never
-    detect never import scipy."""
-    if name != "ndimage":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy import ndimage
+class _LazyNdimage:
+    """scipy.ndimage, imported on the first attribute read, so that commands
+    which never detect never import scipy; each function read is kept on
+    the instance, where later reads find it as on a module."""
 
-    globals()["ndimage"] = ndimage
-    return ndimage
+    def __getattr__(self, name: str):
+        from scipy import ndimage
+
+        return vars(self).setdefault(name, getattr(ndimage, name))
 
 
-def _ndimage():
-    """The module's `ndimage` as it is at call time: a bare global name in a
-    function would not reach the module `__getattr__`."""
-    return sys.modules[__name__].ndimage
+# Read by its bare name below, so a tracer that replaces it is seen.
+ndimage = _LazyNdimage()
 
 
 @dataclass(frozen=True)
@@ -156,7 +152,6 @@ def scale_space_response(frame, scales) -> np.ndarray:
     float64 frame and three frame-sized scratch layers (FRAME_LAYERS).
     """
     arr = _validate_scales(scales)
-    nd = _ndimage()
     img = np.asarray(frame, dtype=np.float64)
     stack = np.empty((arr.size,) + img.shape)
     smoothed = np.empty(img.shape)
@@ -166,8 +161,8 @@ def scale_space_response(frame, scales) -> np.ndarray:
     # detect_blobs refuses a non-finite stack; the Laplacian does the same.
     with np.errstate(over="ignore", invalid="ignore"):
         for t, weights, layer in zip(arr, _ladder_weights(tuple(arr.tolist())), stack):
-            nd.correlate1d(img, weights, 0, smoothed, "mirror")
-            nd.correlate1d(smoothed, weights, 1, smoothed, "mirror")
+            ndimage.correlate1d(img, weights, 0, smoothed, "mirror")
+            ndimage.correlate1d(smoothed, weights, 1, smoothed, "mirror")
             np.multiply(smoothed, -2.0, out=twice)
             _neighbour_sum(smoothed, layer, 0)
             layer += twice
@@ -281,7 +276,7 @@ def _thresholded_minima(stack: np.ndarray, threshold: float) -> tuple[np.ndarray
         slice(max(a - 1, 0), min(b + 2, size)) for a, b, size in zip(first, last, stack.shape)
     )
     sub = stack[halo]
-    is_min = sub == _ndimage().minimum_filter(sub, size=3, mode="nearest")
+    is_min = sub == ndimage.minimum_filter(sub, size=3, mode="nearest")
     box = tuple(slice(a, b + 1) for a, b in zip(first, last))
     inner = tuple(slice(a - h.start, b + 1 - h.start) for a, b, h in zip(first, last, halo))
     hits = (stack[box] < -threshold) & is_min[inner]
