@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
+from .sampler import pixel_offsets
 
 
 class _LazyNdimage:
@@ -289,10 +290,10 @@ def border_margin(t: float) -> float:
 
 
 def kept_offset(size: int, scales) -> float:
-    """How far off the centre of a `size`-pixel axis `detect_blobs` keeps every
-    spot: the border margin is widest at the top rung searched, scales[-2],
-    and a spot's minimum lies in its nearest pixel, at most half a pixel off."""
-    return (size - 1) / 2 - border_margin(scales[-2]) - 0.5
+    """How far off the centre of a `size`-pixel axis, as `pixel_offsets` counts,
+    `detect_blobs` keeps every spot: the border margin is widest at the top
+    rung searched, scales[-2], and a spot's minimum is at most 0.5 px off."""
+    return pixel_offsets(size - 1, size) - border_margin(scales[-2]) - 0.5
 
 
 def detect_blobs(frame, scales, threshold: float | None = None) -> list[BlobDescriptor]:

@@ -81,7 +81,11 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
     `sampler.pixel_offsets`, an event lies at most the sampling half-width
     plus half a detector-grid pitch (the edge of the last cell drawn from)
     off the axis in x, and half the height band in y; `blobdetect.kept_offset`
-    is the offset that `detect_blobs` is sure to keep.
+    is the offset that `detect_blobs` is sure to keep.  Last, arrival times
+    that can overflow: no gap exceeds sampler.MAX_GAP_MEANS / rate, so no
+    arrival comes after n times that, and the running sum's relative error,
+    below n eps, is far below 1 for any n whose draws fit in memory; so
+    half the float range leaves room for it and for the exposure window.
     """
     w, h, scales = config.frame_width, config.frame_height, config.blob_scales()
     refuse_stacks_beyond_memory(f"frame.width = {w} and frame.height = {h}", w, h, len(scales))
@@ -113,6 +117,12 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
     workers.refuse_beyond_memory(
         f"sampler.n_events = {n} needs {draws} x {n} float64 draws", draws * 8 * n
     )
+    latest = n * sampler.MAX_GAP_MEANS / config.pattern_rate
+    if not latest <= np.finfo(np.float64).max / 2:
+        raise ConfigError(
+            f"buildup's arrival times can reach {latest:.4g} s, past half the float range, "
+            f"at sampler.pattern_rate = {config.pattern_rate:g} Hz and sampler.n_events = {n}"
+        )
     # Events are drawn from the both-open distribution restricted to the
     # analyzed pattern.
     full = propagation.simulate_beamline(config.layout(), config.beam(), 0.0, config.grid())

@@ -28,6 +28,9 @@ STREAM_HEIGHT = 2
 STREAM_BACKGROUND = 3
 # Float64 draws per event: one each from the position, gap and height streams.
 DRAWS_PER_EVENT = 3
+# The longest gap between arrivals, in mean gaps 1 / rate: a gap is
+# -log1p(-u) / rate, and `_uniforms` draws u <= 1 - 2**-53.
+MAX_GAP_MEANS = 53 * math.log(2)
 
 
 def _chunk_generator(seed: int, stream: int, chunk_index: int) -> np.random.Generator:

@@ -81,6 +81,27 @@ def test_detect_single_spot_subpixel():
     assert 0.8 <= b.scale_t / 9.0 <= 1.2
 
 
+def test_scipy_filters_are_read_from_the_module_ndimage_global(monkeypatch):
+    # A tracer times scipy's filters by swapping `blobdetect.ndimage` for a
+    # stand-in, so the detector must read each filter from it at call time.
+    from scipy import ndimage
+
+    reads = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            reads.append(name)
+            return getattr(ndimage, name)
+
+    frame = gaussian_spot((32, 96), 16.0, 40.0, 2.5)
+    expected = detect_blobs(frame, LADDER)
+    assert len(expected) == 1
+    monkeypatch.setattr(blobdetect, "ndimage", Recorder())
+    assert detect_blobs(frame, LADDER) == expected
+    # Two Gaussian passes per rung, then one 3D minimum filter.
+    assert reads == ["correlate1d"] * (2 * len(LADDER)) + ["minimum_filter"]
+
+
 def test_detect_requires_three_scales():
     frame = gaussian_spot((32, 32), 16.0, 16.0, 3.0)
     with pytest.raises(DomainError):

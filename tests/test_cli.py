@@ -825,7 +825,7 @@ def test_buildup_rejects_zero_events(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "line,key",
+    "line,keys",
     [
         # numpy's Poisson draw refuses a mean this large with a ValueError.
         ("sampler.background = 1e19", "sampler.background"),
@@ -833,19 +833,25 @@ def test_buildup_rejects_zero_events(tmp_path, capsys, monkeypatch):
         # render_frame squares the PSF width, which overflows.
         ("sampler.psf_sigma = 1e200", "sampler.psf_sigma"),
         ("sampler.psf_sigma = 1.3407807929942597e154", "sampler.psf_sigma"),
+        # The arrival times overflow: numpy warns in the gaps' divide, and
+        # at 50 events in their running sum.
+        ("sampler.pattern_rate = 5e-324 Hz", "sampler.pattern_rate sampler.n_events"),
+        ("sampler.n_events = 50\nsampler.pattern_rate = 1e-307 Hz",
+         "sampler.pattern_rate sampler.n_events"),
     ],
 )
-def test_buildup_refuses_frames_it_cannot_render(tmp_path, capsys, monkeypatch, line, key):
-    # Refused by key before any propagation, and before --out is made.
+def test_buildup_refuses_frames_it_cannot_render(tmp_path, capsys, monkeypatch, line, keys):
+    # Refused, naming every key, before any propagation and before --out is made.
     import doubleslit.buildup
 
     monkeypatch.setattr(doubleslit.buildup.propagation, "simulate_beamline", no_propagation)
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"sampler.n_events = 5\n{line}\nrun.seed = 7\n")
+    events = "" if "sampler.n_events" in line else "sampler.n_events = 5\n"
+    cfg.write_text(f"{events}{line}\nrun.seed = 7\n")
     out = tmp_path / "nested" / "out"
     assert run("buildup", "--config", str(cfg), "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and key in err
+    assert err.startswith("error: ") and all(key in err for key in keys.split())
     assert "Traceback" not in err
     assert not (tmp_path / "nested").exists()
 
@@ -1084,7 +1090,7 @@ def test_every_key_at_its_bounds_reaches_the_pass_or_is_refused_by_key(
     cfg = tmp_path / "edge.cfg"
     out = tmp_path / "nested" / "out"
     reached = {argv[0]: 0 for argv in EDGE_COMMANDS}
-    frame_fit = 0
+    frame_fit = overflow = 0
     for key in [f.metadata["key"] for f in fields(RunConfig)]:
         for value in EDGE_VALUES:
             seed = "" if key == "run.seed" else "run.seed = 1\n"
@@ -1102,11 +1108,14 @@ def test_every_key_at_its_bounds_reaches_the_pass_or_is_refused_by_key(
                 assert code == 2 and key in err, (case, err)
                 assert not (tmp_path / "nested").exists(), case
                 frame_fit += err.startswith("error: buildup draws events up to ")
+                overflow += err.startswith("error: buildup's arrival times can reach ")
     # Not a property met by refusing everything: each command reaches its
     # pass in over a quarter of the cases (about 120 of 400), buildup when
-    # the 28 cases whose events can land off its frame are counted with it.
-    assert frame_fit == 28, frame_fit
-    reached["buildup"] += frame_fit
+    # the 28 cases whose events can land off its frame and the one whose
+    # arrival times can overflow (sampler.pattern_rate = 5e-324) are
+    # counted with it.
+    assert (frame_fit, overflow) == (28, 1), (frame_fit, overflow)
+    reached["buildup"] += frame_fit + overflow
     assert min(reached.values()) > len(EDGE_VALUES) * len(fields(RunConfig)) // 4, reached
 
 
