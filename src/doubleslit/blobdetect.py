@@ -55,6 +55,9 @@ class BlobDescriptor:
 LAYERS_PER_SCALE = 2.25
 FRAME_LAYERS = 4
 MAX_SCALES = 64
+# Arrays of a rung's length that `_ladder_weights` holds at once while building
+# it, at most: the int64 offsets, their squares, the exponent and its exp.
+KERNEL_TEMPORARIES = 4
 
 
 def geometric_scales(t_min: float, t_max: float, ratio: float) -> tuple[float, ...]:
@@ -80,21 +83,14 @@ def geometric_scales(t_min: float, t_max: float, ratio: float) -> tuple[float, .
     return tuple(scales)
 
 
-def _validate_scales(scales) -> np.ndarray:
-    arr = np.asarray(scales, dtype=np.float64)
-    if arr.size == 0:
-        raise DomainError("scale list must not be empty")
-    if np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
-        raise DomainError("scales must be positive and strictly increasing")
-    return arr
-
-
 def _detection_ladder(scales) -> np.ndarray:
-    """The scales as an array, refused unless they are a geometric ladder
-    of at least 3 rungs: the 3D extremum search needs a scale on each side
-    of a candidate, and the sub-scale refinement steps log t by one ratio.
-    """
-    arr = _validate_scales(scales)
+    """The scales as an array, refused unless they are a positive, strictly
+    increasing geometric ladder of at least 3 rungs: the 3D extremum search
+    needs a scale on each side of a candidate, and the sub-scale refinement
+    steps log t by one ratio."""
+    arr = np.asarray(scales, dtype=np.float64)
+    if not (np.all(arr > 0) and np.all(np.diff(arr) > 0)):  # NaN fails both
+        raise DomainError("scales must be positive and strictly increasing")
     if arr.size < 3:
         raise DomainError("blob detection needs at least 3 scales")
     ratios = arr[1:] / arr[:-1]
@@ -106,10 +102,15 @@ def _detection_ladder(scales) -> np.ndarray:
     return arr
 
 
+def kernel_radius(t: float) -> int:
+    """scipy's `gaussian_filter1d` radius at sigma = sqrt(t): int(4 sigma + 0.5)."""
+    return int(4.0 * float(np.sqrt(t)) + 0.5)
+
+
 @lru_cache(maxsize=1)
 def _ladder_weights(scales: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     """Per scale t, the weights scipy's `gaussian_filter1d` correlates with
-    at sigma = sqrt(t), by its own formula: radius int(4 sigma + 0.5), then
+    at sigma = sqrt(t), by its own formula: radius `kernel_radius(t)`, then
     exp(-0.5 / sigma^2 * x^2) normalised by its sum, then reversed; stored
     contiguous, so that `correlate1d` uses them without a copy, and
     read-only.  One command detects on one ladder, so the last ladder's
@@ -117,7 +118,7 @@ def _ladder_weights(scales: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     weights = []
     for t in scales:
         sigma = np.sqrt(t)
-        radius = int(4.0 * float(sigma) + 0.5)
+        radius = kernel_radius(t)
         x = np.arange(-radius, radius + 1)
         phi = np.exp(-0.5 / (sigma * sigma) * x**2)
         kernel = np.ascontiguousarray((phi / phi.sum())[::-1])
@@ -142,7 +143,7 @@ def _neighbour_sum(s: np.ndarray, out: np.ndarray, axis: int) -> None:
 
 
 def scale_space_response(frame, scales) -> np.ndarray:
-    """Stack of t * Laplacian(Gaussian(image, sqrt(t))) over the ladder.
+    """Stack of t * Laplacian(Gaussian(image, sqrt(t))) over a `_detection_ladder`.
 
     Mirror padding at the borders.  Output shape (len(scales), H, W).
     Bit for bit what `gaussian_filter` and `laplace` give in mirror mode:
@@ -152,7 +153,7 @@ def scale_space_response(frame, scales) -> np.ndarray:
     and scales by t, in scipy's order.  Besides the stack, a call holds the
     float64 frame and three frame-sized scratch layers (FRAME_LAYERS).
     """
-    arr = _validate_scales(scales)
+    arr = _detection_ladder(scales)
     img = np.asarray(frame, dtype=np.float64)
     stack = np.empty((arr.size,) + img.shape)
     smoothed = np.empty(img.shape)

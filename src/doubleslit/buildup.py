@@ -70,14 +70,30 @@ def refuse_stacks_beyond_memory(frames: str, w: int, h: int, scales: int) -> Non
     )
 
 
+def refuse_kernels_beyond_memory(scales) -> None:
+    """Refuse a ladder whose Gaussian weights would exceed physical memory:
+    blobdetect._ladder_weights keeps 2 kernel_radius(t) + 1 float64 taps per
+    scale, and KERNEL_TEMPORARIES more of the widest's length while building
+    it; each detection thread may build them at once, before they are cached."""
+    taps = [2 * blobdetect.kernel_radius(t) + 1 for t in scales]
+    jobs, temps = workers.worker_count(), blobdetect.KERNEL_TEMPORARIES
+    workers.refuse_beyond_memory(
+        f"blob.t_min, blob.t_max and blob.ratio need Gaussian kernels of {sum(taps)} float64 "
+        f"taps, and {temps} x {taps[-1]} while the widest is built, on each of {jobs} threads",
+        8 * (sum(taps) + temps * taps[-1]) * jobs,
+    )
+
+
 def run_buildup(config: RunConfig) -> BuildUpRun:
     """Sample events, render one frame per event, detect, accumulate.
 
-    Refused before any propagation: frames whose response stacks exceed
-    physical memory, an event count whose float64 draws per event do (the
-    draws are a lower bound on what the events need), a background or PSF
-    width that the frame renderer cannot draw or square, and events that
-    can land where `detect_blobs` drops them.  In pixels under
+    Refused before any propagation: a ladder whose kernels, or frames whose
+    response stacks, exceed physical memory, an event count whose float64
+    draws per event do (the draws are a lower bound on what the events
+    need), a background the frame renderer cannot draw, a PSF width sigma
+    whose sigma^2, where a Gaussian spot's normalised response peaks, lies
+    outside the rungs the extremum search visits, scales[1] to scales[-2],
+    and events that can land where `detect_blobs` drops them.  In pixels under
     `sampler.pixel_offsets`, an event lies at most the sampling half-width
     plus half a detector-grid pitch (the edge of the last cell drawn from)
     off the axis in x, and half the height band in y; `blobdetect.kept_offset`
@@ -88,6 +104,7 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
     half the float range leaves room for it and for the exposure window.
     """
     w, h, scales = config.frame_width, config.frame_height, config.blob_scales()
+    refuse_kernels_beyond_memory(scales)
     refuse_stacks_beyond_memory(f"frame.width = {w} and frame.height = {h}", w, h, len(scales))
     n = config.n_events
     if n < 1:
@@ -97,9 +114,12 @@ def run_buildup(config: RunConfig) -> BuildUpRun:
         raise ConfigError(
             f"buildup needs sampler.background <= {pgm.MAXVAL}, got {config.background}"
         )
-    sigma = config.psf_sigma
-    if not math.isfinite(sigma * sigma):
-        raise ConfigError(f"buildup needs sampler.psf_sigma squared to be finite, got {sigma}")
+    t = config.psf_sigma * config.psf_sigma
+    if not scales[1] <= t <= scales[-2]:
+        raise ConfigError(
+            f"buildup's spots have scale sampler.psf_sigma^2 = {t:.4g}, but detect_blobs searches "
+            f"only {scales[1]:.4g} to {scales[-2]:.4g} of blob.t_min, blob.t_max and blob.ratio"
+        )
     for axis, half, size, keys in (
         ("x", config.sampling_half_width() + config.detector_pitch() / 2, w,
          "beam.energy, slits.separation, mask.distance, detector.distance, "
@@ -173,11 +193,12 @@ def run_detect(
     """Read each frame file and detect its blobs; one list per path, in order.
 
     Each worker reads its own frames, so only one frame per thread is held
-    at a time.  A bad file, or a frame whose response stacks would exceed
-    physical memory, raises the error of the first such path in input
-    order, and nothing is returned.
+    at a time.  A ladder whose kernels exceed physical memory is refused
+    first; a bad file, or a frame whose response stacks would, raises the
+    error of the first such path in input order, and nothing is returned.
     """
     scales = config.blob_scales()
+    refuse_kernels_beyond_memory(scales)
 
     def detect_file(i: int) -> list[BlobDescriptor]:
         frame = pgm.read_pgm(paths[i])

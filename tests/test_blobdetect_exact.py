@@ -21,7 +21,11 @@ from doubleslit.blobdetect import (
     geometric_scales,
     scale_space_response,
 )
-from doubleslit.buildup import refuse_stacks_beyond_memory, run_buildup
+from doubleslit.buildup import (
+    refuse_kernels_beyond_memory,
+    refuse_stacks_beyond_memory,
+    run_buildup,
+)
 from doubleslit.config import load_config
 from doubleslit.errors import ConfigError, DomainError
 
@@ -355,3 +359,28 @@ def test_detection_peak_stays_within_the_memory_refusal(monkeypatch, name, thres
     monkeypatch.setattr(workers, "physical_memory", lambda: peak - 1)
     with pytest.raises(ConfigError):
         refuse_stacks_beyond_memory("frames", w, h, len(LADDER))
+
+
+@pytest.mark.parametrize("args", [(1.0, 2.0**30, 2.0), (2.0, 2.0e6, 1.3)])
+def test_kernel_peak_stays_within_the_memory_refusal(monkeypatch, args):
+    # The refusal counts what building a ladder's weights holds at its peak:
+    # every rung's taps and KERNEL_TEMPORARIES arrays of the widest rung's
+    # length.  On these ladders, of 2.6e5 and 1.1e4 taps at the top rung,
+    # the arrays outweigh their headers.
+    ladder = geometric_scales(*args)
+    blobdetect._ladder_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        blobdetect._ladder_weights(ladder)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        blobdetect._ladder_weights.cache_clear()
+    # One thread: a memory one byte below the peak is refused, and the count
+    # is within a fifth of the peak.
+    monkeypatch.setattr(workers, "worker_count", lambda: 1)
+    monkeypatch.setattr(workers, "physical_memory", lambda: peak - 1)
+    with pytest.raises(ConfigError, match="Gaussian kernels"):
+        refuse_kernels_beyond_memory(ladder)
+    monkeypatch.setattr(workers, "physical_memory", lambda: int(1.2 * peak))
+    refuse_kernels_beyond_memory(ladder)

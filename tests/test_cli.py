@@ -838,6 +838,10 @@ def test_buildup_rejects_zero_events(tmp_path, capsys, monkeypatch):
         ("sampler.pattern_rate = 5e-324 Hz", "sampler.pattern_rate sampler.n_events"),
         ("sampler.n_events = 50\nsampler.pattern_rate = 1e-307 Hz",
          "sampler.pattern_rate sampler.n_events"),
+        # Spots of scale 1 and 36 lie outside the rungs the extremum search
+        # visits, 2.6 to 21.2: 30 events each gave 0 blobs and exit 0.
+        ("sampler.psf_sigma = 1.0", "sampler.psf_sigma blob.t_min blob.t_max blob.ratio"),
+        ("sampler.psf_sigma = 6.0", "sampler.psf_sigma blob.t_min blob.t_max blob.ratio"),
     ],
 )
 def test_buildup_refuses_frames_it_cannot_render(tmp_path, capsys, monkeypatch, line, keys):
@@ -908,25 +912,53 @@ def test_buildup_just_inside_the_frame_fit_finds_every_event(tmp_path, capsys):
     assert "slits.height" in capsys.readouterr().err and not out.exists()
     cfg.write_text("sampler.n_events = 40\nbuildup.checkpoints = 40\nslits.height = 13.89 um\n")
     assert run("buildup", "--config", str(cfg), "--out", str(out), "--seed", "7") == 0
+    events = assert_every_event_found(out, 40)
+    # The draws reach near the bound.
+    assert max(abs(y - 15.5) for _, y in events) > 0.9 * room
+
+
+def assert_every_event_found(out, n):
+    """Every one of a default-frame build-up's n frames holds one blob,
+    within 2 px of its event; returns the events in pixels."""
     with open(out / "events.csv") as fh:
         events = [(float(r["x_m"]) / 12e-6 + 207.5, float(r["y_m"]) / 12e-6 + 15.5)
                   for r in csv.DictReader(fh)]
     with open(out / "blobs.csv") as fh:
         blobs = [(int(r["frame"]), float(r["x_px"]), float(r["y_px"])) for r in csv.DictReader(fh)]
-    # The draws reach near the bound, and every frame holds its event alone.
-    assert max(abs(y - 15.5) for _, y in events) > 0.9 * room
-    assert [frame for frame, _, _ in blobs] == list(range(40))
+    assert [frame for frame, _, _ in blobs] == list(range(n))
     for (_, bx, by), (ex, ey) in zip(blobs, events):
         assert math.hypot(bx - ex, by - ey) < 2
+    return events
+
+
+@pytest.mark.parametrize("rung", [1, -2])
+def test_buildup_at_the_psf_width_bounds_finds_every_event(tmp_path, rung):
+    # The PSF refusal admits sigma^2 from scales[1] to scales[-2] of the
+    # default ladder, 2.6 to 21.2; at each end every spot is still found.
+    from doubleslit.blobdetect import geometric_scales
+
+    t = geometric_scales(2, 30, 1.3)[rung]
+    sigma = math.sqrt(t)
+    # The closest width whose square still lies inside the searched rungs.
+    while (sigma * sigma < t) if rung == 1 else (sigma * sigma > t):
+        sigma = math.nextafter(sigma, math.inf if rung == 1 else 0.0)
+    cfg = tmp_path / "edge.cfg"
+    out = tmp_path / "out"
+    cfg.write_text(f"sampler.n_events = 8\nbuildup.checkpoints = 8\nsampler.psf_sigma = {sigma!r}")
+    assert run("buildup", "--config", str(cfg), "--out", str(out), "--seed", "7") == 0
+    assert_every_event_found(out, 8)
 
 
 @pytest.mark.parametrize("command", ["buildup", "detect"])
 def test_short_scale_ladder_is_refused_by_key(tmp_path, capsys, monkeypatch, command):
     # blob.t_min = 30 with the default blob.t_max = 30 leaves one scale; a
     # t_max whose slack overflows to inf, or a ratio this close to 1, would
-    # need an endless or ~10^9-rung ladder.  Each config is refused before
-    # any propagation or frame read, naming the keys.
+    # need an endless or ~10^9-rung ladder.  The 64 rungs t = 1 to 2^63 are
+    # a ladder, but their Gaussian kernels would take 8.3e10 taps, 2.4e10 at
+    # the top rung alone.  Each config is refused before any propagation,
+    # frame read or kernel, naming the keys.
     import doubleslit.buildup
+    import doubleslit.workers
 
     def no_beamline(*args, **kwargs):
         raise AssertionError("simulate_beamline called")
@@ -934,14 +966,20 @@ def test_short_scale_ladder_is_refused_by_key(tmp_path, capsys, monkeypatch, com
     def no_read(*args, **kwargs):
         raise AssertionError("read_pgm called")
 
+    def no_kernels(*args, **kwargs):
+        raise AssertionError("_ladder_weights called")
+
     monkeypatch.setattr(doubleslit.buildup.propagation, "simulate_beamline", no_beamline)
     monkeypatch.setattr(doubleslit.buildup.pgm, "read_pgm", no_read)
+    monkeypatch.setattr(doubleslit.buildup.blobdetect, "_ladder_weights", no_kernels)
+    monkeypatch.setattr(doubleslit.workers, "physical_memory", lambda: 2**33)
     frame = tmp_path / "f.pgm"
     write_pgm(frame, np.zeros((8, 8), dtype=np.uint16))
     for line, reason in (
         ("blob.t_min = 30", "fewer than 3 scales"),
         ("blob.t_max = 1.7976931348623157e308", "more than MAX_SCALES"),
         ("blob.ratio = 1.000000001", "more than MAX_SCALES"),
+        ("blob.t_min = 1\nblob.t_max = 9.3e18\nblob.ratio = 2", "Gaussian kernels"),
     ):
         cfg = tmp_path / "short.cfg"
         cfg.write_text(f"sampler.n_events = 5\n{line}\nrun.seed = 7\n")
@@ -950,7 +988,7 @@ def test_short_scale_ladder_is_refused_by_key(tmp_path, capsys, monkeypatch, com
         err = capsys.readouterr().err
         for key in ("blob.t_min", "blob.t_max", "blob.ratio"):
             assert key in err, line
-        assert reason in err, line
+        assert reason in err and "Traceback" not in err, line
         assert not (tmp_path / "run").exists(), line
 
 
@@ -1090,7 +1128,7 @@ def test_every_key_at_its_bounds_reaches_the_pass_or_is_refused_by_key(
     cfg = tmp_path / "edge.cfg"
     out = tmp_path / "nested" / "out"
     reached = {argv[0]: 0 for argv in EDGE_COMMANDS}
-    frame_fit = overflow = 0
+    frame_fit = overflow = psf = 0
     for key in [f.metadata["key"] for f in fields(RunConfig)]:
         for value in EDGE_VALUES:
             seed = "" if key == "run.seed" else "run.seed = 1\n"
@@ -1109,13 +1147,15 @@ def test_every_key_at_its_bounds_reaches_the_pass_or_is_refused_by_key(
                 assert not (tmp_path / "nested").exists(), case
                 frame_fit += err.startswith("error: buildup draws events up to ")
                 overflow += err.startswith("error: buildup's arrival times can reach ")
+                psf += err.startswith("error: buildup's spots have scale ")
     # Not a property met by refusing everything: each command reaches its
     # pass in over a quarter of the cases (about 120 of 400), buildup when
-    # the 28 cases whose events can land off its frame and the one whose
-    # arrival times can overflow (sampler.pattern_rate = 5e-324) are
-    # counted with it.
-    assert (frame_fit, overflow) == (28, 1), (frame_fit, overflow)
-    reached["buildup"] += frame_fit + overflow
+    # the 28 cases whose events can land off its frame, the one whose
+    # arrival times can overflow (sampler.pattern_rate = 5e-324) and the 9
+    # whose spots lie outside the searched scales (every positive
+    # sampler.psf_sigma drawn) are counted with it.
+    assert (frame_fit, overflow, psf) == (28, 1, 9), (frame_fit, overflow, psf)
+    reached["buildup"] += frame_fit + overflow + psf
     assert min(reached.values()) > len(EDGE_VALUES) * len(fields(RunConfig)) // 4, reached
 
 
